@@ -1,7 +1,7 @@
-//! Shared framing for the hand-written `BENCH_*.json` documents (the
-//! workspace's serde is an offline no-op stand-in, so the emitters build the
-//! JSON text themselves; this module keeps the document skeleton in one
-//! place).
+//! Shared framing for the hand-written `BENCH_*.json` documents.  The
+//! emitters build the JSON text themselves, with pretty-printed rows, rather
+//! than through the vendored `serde::json` writer, which only emits compact
+//! text; this module keeps the document skeleton in one place.
 
 /// Builds a `BENCH_*.json` document: a `schema` / `generated_by` / `quick` /
 /// `isa` / `cores` header plus one array named `array_name` whose elements

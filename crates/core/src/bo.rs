@@ -2085,6 +2085,17 @@ mod tests {
     }
 
     #[test]
+    fn deeply_nested_snapshot_json_is_an_error_not_an_abort() {
+        // Uncapped, the recursive JSON parser overflowed the stack (aborting
+        // the process) on a run of 50,000 `[`.
+        let deep = "{\"version\":".to_string() + &"[".repeat(200_000);
+        assert!(matches!(
+            BoSnapshot::from_json(&deep),
+            Err(BoError::SnapshotMismatch { .. })
+        ));
+    }
+
+    #[test]
     fn drift_refits_from_imputed_observations_are_capped() {
         // Every model-guided evaluation fails and is imputed; the imputed
         // stand-ins move the likelihood, so an uncapped drift policy would

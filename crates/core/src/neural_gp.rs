@@ -1,7 +1,7 @@
 //! The neural-network Gaussian process (weight-space view) — the paper's surrogate.
 
 use nnbo_linalg::{Cholesky, Matrix, Standardizer};
-use nnbo_nn::{Activation, Adam, Mlp, MlpConfig, Optimizer};
+use nnbo_nn::{Activation, Adam, Mlp, MlpConfig};
 use rand::rngs::StdRng;
 use rand::Rng;
 use serde::{Deserialize, Serialize};
@@ -556,9 +556,10 @@ fn run_adam(
         {
             break;
         }
+        // One sum of squares serves the early-stop RMS and Adam's clip norm.
+        let sum_sq: f64 = scratch.grad.iter().map(|g| g * g).sum();
         if let Some(tol) = grad_tol {
-            let rms = (scratch.grad.iter().map(|g| g * g).sum::<f64>() / scratch.grad.len() as f64)
-                .sqrt();
+            let rms = (sum_sq / scratch.grad.len() as f64).sqrt();
             if rms <= tol {
                 break;
             }
@@ -569,7 +570,7 @@ fn run_adam(
         flat.push(log_noise);
         flat.push(log_prior);
         flat.extend_from_slice(&nn_params);
-        adam.step(flat, &scratch.grad);
+        adam.step_with_sum_sq(flat, &scratch.grad, sum_sq);
         log_noise = flat[0].clamp(config.min_log_noise, config.max_log_noise);
         log_prior = flat[1].clamp(-config.prior_log_clamp, config.prior_log_clamp);
         nn_params.copy_from_slice(&flat[2..]);
@@ -783,7 +784,7 @@ fn loss_and_grad_into(
             *g += scale * a;
         }
     }
-    let (nn_grad, _) = mlp.backward(&cache, &grad_out);
+    let nn_grad = mlp.param_gradient(&cache, &grad_out);
 
     // Gradients with respect to log σn and log σp.
     let alpha_sq: f64 = alpha.iter().map(|a| a * a).sum();

@@ -1,4 +1,5 @@
-//! Packed-panel SIMD micro-kernel engine (AVX2 + FMA).
+//! Packed-panel SIMD micro-kernel engine (AVX2 + FMA, plus an AVX-512F
+//! direct GEMM driver).
 //!
 //! The blocked scalar kernels in [`crate::kernels`] are latency-limited: their
 //! 4-wide register tiles keep a few scalar FMA chains in flight but leave the
@@ -21,11 +22,21 @@
 //!   [`syrk_lower`] (symmetric rank-k products touching only the lower
 //!   triangle, for Gram/normal matrices and the Cholesky trailing update), and
 //!   the elementwise FMA helpers the batched triangular sweeps use.
+//! * **Direct driver (AVX-512F)** — for a single-block product (`k ≤ KC`)
+//!   [`gemm`] skips A packing and the tile write-back: B is packed as above,
+//!   an `8 × 8` tile of eight 512-bit accumulators broadcasts A straight from
+//!   its [`Op`] view, and each output element is stored once.  Small products
+//!   (the neural-GP training epoch's `N ≤ 256`) spend most of the packed
+//!   driver's time in those two copies, not in the FMAs.
 //!
 //! Arithmetic note: per output element the accumulation order is fixed by the
 //! panel geometry alone, so results are identical across thread counts; they
 //! differ from the scalar path in rounding only (different summation order),
-//! which the property tests bound against the naive reference kernels.
+//! which the property tests bound against the naive reference kernels.  The
+//! two SIMD GEMM drivers agree bit for bit: both compute one FMA chain per
+//! element over ascending `k` from `+0.0` and add it to `+0.0` (the packed
+//! driver into its zeroed output, the direct driver before its store), so a
+//! `−0.0` chain result becomes `+0.0` on both.
 
 use crate::parallel::{for_each_row_band, plan_threads};
 
@@ -35,6 +46,8 @@ pub(crate) const MR: usize = 4;
 pub(crate) const NR: usize = 8;
 /// `k`-dimension block: one A panel (`MR × KC`) stays in L1 across a sweep.
 const KC: usize = 256;
+/// Rows per direct-driver tile (one 512-bit accumulator per row).
+const DR: usize = 8;
 
 /// A borrowed view of one product operand in "logical rows × k" orientation.
 ///
@@ -75,6 +88,34 @@ impl<'a> Op<'a> {
         } else {
             self.data[r * self.stride + kk]
         }
+    }
+
+    /// Distances in `data` between `(r, kk)` and `(r + 1, kk)`, and between
+    /// `(r, kk)` and `(r, kk + 1)`.
+    fn steps(&self) -> (usize, usize) {
+        if self.transposed {
+            (1, self.stride)
+        } else {
+            (self.stride, 1)
+        }
+    }
+
+    /// Panics unless every element `(r, kk)` with `r < rows` and `kk < k` lies
+    /// inside `data` — the bound the direct driver's unchecked loads rely on.
+    fn assert_covers(&self, rows: usize, k: usize) {
+        if rows == 0 || k == 0 {
+            return;
+        }
+        let (rs, ks) = self.steps();
+        let last = (rows - 1)
+            .checked_mul(rs)
+            .zip((k - 1).checked_mul(ks))
+            .and_then(|(r, c)| r.checked_add(c));
+        assert!(
+            last.is_some_and(|last| last < self.data.len()),
+            "operand slice of length {} is too short for a {rows}×{k} view",
+            self.data.len()
+        );
     }
 }
 
@@ -187,17 +228,176 @@ unsafe fn micro_kernel_4x8(ap: &[f64], bp: &[f64], kc: usize, tile: &mut [f64; M
 
 /// `out[m×n] = a · b` through the packed panels, parallel over output-row
 /// bands.  `a` and `b` are logical views (see [`Op`]); `out` is overwritten.
+///
+/// Single-block products (`k ≤ KC`) run the direct driver when the AVX-512F
+/// tier is active; everything else runs the packed driver.  The two agree bit
+/// for bit (see the module notes).
+///
+/// # Panics
+///
+/// Panics if `out` does not hold `m × n` values or an operand slice is too
+/// short for its `m × k` / `n × k` view.
 pub(crate) fn gemm(a: Op, b: Op, m: usize, k: usize, n: usize, out: &mut [f64]) {
-    debug_assert_eq!(out.len(), m * n);
-    out.fill(0.0);
+    assert_eq!(
+        out.len(),
+        m * n,
+        "gemm output length does not match {m}×{n}"
+    );
+    a.assert_covers(m, k);
+    b.assert_covers(n, k);
     if m == 0 || n == 0 || k == 0 {
+        out.fill(0.0);
         return;
     }
     let packed_b = PackedB::new(&b, n, k);
     let threads = plan_threads(m, 2 * m * k * n);
+    if k <= KC && crate::dispatch::avx512_active() {
+        gemm_direct(&a, &packed_b, m, n, threads, out);
+    } else {
+        gemm_packed(&a, &packed_b, n, threads, out);
+    }
+}
+
+/// The packed driver: `out = a · B` with both operands packed per block.
+fn gemm_packed(a: &Op, packed_b: &PackedB, n: usize, threads: usize, out: &mut [f64]) {
+    out.fill(0.0);
+    let m = out.len() / n;
     for_each_row_band(out, m, n, threads, |first_row, band| {
-        gemm_band(&a, &packed_b, first_row, band.len() / n, n, band);
+        gemm_band(a, packed_b, first_row, band.len() / n, n, band);
     });
+}
+
+/// The direct driver: `out = a · B` for a single-block `packed_b`, with the
+/// AVX-512F tile.
+///
+/// # Panics
+///
+/// Panics if the CPU lacks AVX-512F, `packed_b` has more than one `k`-block,
+/// `a` does not cover its `m × k` view or `out` does not hold `m × n` values.
+fn gemm_direct(a: &Op, packed_b: &PackedB, m: usize, n: usize, threads: usize, out: &mut [f64]) {
+    assert!(
+        crate::dispatch::avx512_supported(),
+        "direct driver needs AVX-512F"
+    );
+    assert_eq!(packed_b.blocks.len(), 1, "direct driver needs k ≤ KC");
+    assert_eq!(out.len(), m * n, "direct driver output is not {m}×{n}");
+    let k = packed_b.blocks[0].1;
+    a.assert_covers(m, k);
+    let (rs, ks) = a.steps();
+    for_each_row_band(out, m, n, threads, |first_row, band| {
+        let rows = band.len() / n;
+        assert!(first_row + rows <= m && band.len() == rows * n);
+        let mut i0 = 0;
+        while i0 < rows {
+            let mr = DR.min(rows - i0);
+            // Offset of element (first_row + i0, 0) in `a.data`.
+            let a_off = (first_row + i0) * rs;
+            for jp in 0..packed_b.panels {
+                let j0 = jp * NR;
+                let width = NR.min(n - j0);
+                let dst = &mut band[i0 * n + j0..];
+                let bp = packed_b.panel(0, jp);
+                // SAFETY: the CPU has AVX-512F (asserted on entry).  A is in
+                // bounds: `a` covers `m × k` (asserted on entry), and rows
+                // `first_row + i0 .. first_row + i0 + mr` are below `m` by
+                // the band assert above.  `bp` holds `k × NR` values (one
+                // panel of the single block).  `dst` starts at `(i0, j0)` of
+                // a band of `rows × n` values with `i0 + mr ≤ rows` and
+                // `j0 + width ≤ n`, so it holds `(mr − 1)·n + width` values.
+                unsafe {
+                    match mr {
+                        8 => direct_tile::<8>(a.data, a_off, rs, ks, bp, k, dst, n, width),
+                        7 => direct_tile::<7>(a.data, a_off, rs, ks, bp, k, dst, n, width),
+                        6 => direct_tile::<6>(a.data, a_off, rs, ks, bp, k, dst, n, width),
+                        5 => direct_tile::<5>(a.data, a_off, rs, ks, bp, k, dst, n, width),
+                        4 => direct_tile::<4>(a.data, a_off, rs, ks, bp, k, dst, n, width),
+                        3 => direct_tile::<3>(a.data, a_off, rs, ks, bp, k, dst, n, width),
+                        2 => direct_tile::<2>(a.data, a_off, rs, ks, bp, k, dst, n, width),
+                        _ => direct_tile::<1>(a.data, a_off, rs, ks, bp, k, dst, n, width),
+                    }
+                }
+            }
+            i0 += mr;
+        }
+    });
+}
+
+/// The `R × 8` AVX-512F tile of the direct driver:
+/// `out[ii*n + jj] = (Σ_kk a[a_off + ii*rs + kk*ks] · bp[kk*NR + jj]) + 0.0`
+/// for `ii < R`, `jj < width`, the sum being one FMA chain over ascending
+/// `kk` from `+0.0`.  Columns at or past `width` are computed but not
+/// stored: the store is masked, so `out` past them is never touched.
+///
+/// # Safety
+///
+/// The CPU must support AVX-512F.  `a[a_off + ii*rs + kk*ks]` must be in
+/// bounds for every `ii < R`, `kk < k`; `bp` must hold at least `k × NR`
+/// values; `1 ≤ width ≤ NR`; and `out` must hold at least
+/// `(R − 1)·n + width` values.
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "avx512f")]
+#[allow(clippy::too_many_arguments)]
+unsafe fn direct_tile<const R: usize>(
+    a: &[f64],
+    a_off: usize,
+    rs: usize,
+    ks: usize,
+    bp: &[f64],
+    k: usize,
+    out: &mut [f64],
+    n: usize,
+    width: usize,
+) {
+    use core::arch::x86_64::*;
+    debug_assert!(k > 0 && a_off + (R - 1) * rs + (k - 1) * ks < a.len());
+    debug_assert!(bp.len() >= k * NR);
+    debug_assert!((1..=NR).contains(&width) && (R - 1) * n + width <= out.len());
+    let mut acc = [_mm512_setzero_pd(); R];
+    let a_ptr = a.as_ptr().add(a_off);
+    let b_ptr = bp.as_ptr();
+    for kk in 0..k {
+        let bv = _mm512_loadu_pd(b_ptr.add(kk * NR));
+        let a_k = a_ptr.add(kk * ks);
+        for (ii, row_acc) in acc.iter_mut().enumerate() {
+            *row_acc = _mm512_fmadd_pd(_mm512_set1_pd(*a_k.add(ii * rs)), bv, *row_acc);
+        }
+    }
+    let zero = _mm512_setzero_pd();
+    let mask: __mmask8 = u8::MAX >> (NR - width);
+    for (ii, row_acc) in acc.iter().enumerate() {
+        _mm512_mask_storeu_pd(
+            out.as_mut_ptr().add(ii * n),
+            mask,
+            _mm512_add_pd(*row_acc, zero),
+        );
+    }
+}
+
+#[cfg(not(target_arch = "x86_64"))]
+#[allow(clippy::too_many_arguments)]
+unsafe fn direct_tile<const R: usize>(
+    a: &[f64],
+    a_off: usize,
+    rs: usize,
+    ks: usize,
+    bp: &[f64],
+    k: usize,
+    out: &mut [f64],
+    n: usize,
+    width: usize,
+) {
+    // Unreachable in practice: the dispatch point never selects the
+    // AVX-512F tier off x86_64.  Kept as a correct portable body so the
+    // crate still compiles everywhere.
+    for ii in 0..R {
+        for jj in 0..width {
+            let mut acc = 0.0_f64;
+            for kk in 0..k {
+                acc = a[a_off + ii * rs + kk * ks].mul_add(bp[kk * NR + jj], acc);
+            }
+            out[ii * n + jj] = acc + 0.0;
+        }
+    }
 }
 
 fn gemm_band(a: &Op, packed_b: &PackedB, first_row: usize, rows: usize, n: usize, out: &mut [f64]) {
@@ -697,6 +897,135 @@ unsafe fn add_scaled_product_fma(acc: &mut [f64], x: &[f64], y: &[f64], scale: f
     }
 }
 
+/// One Adam update of every parameter, dispatched; see
+/// [`crate::adam_update`] for the formula.  Both paths run the same IEEE
+/// operations in the same order (no fused multiply-add), so they agree bit
+/// for bit.
+pub(crate) fn adam_update(
+    params: &mut [f64],
+    grad: &[f64],
+    m: &mut [f64],
+    v: &mut [f64],
+    step: &crate::AdamStep,
+) {
+    let n = params.len();
+    assert!(
+        grad.len() == n && m.len() == n && v.len() == n,
+        "adam_update length mismatch"
+    );
+    if crate::dispatch::simd_active() {
+        // SAFETY: simd_active() implies the CPU supports AVX2.
+        unsafe { adam_update_avx2(params, grad, m, v, step) };
+    } else {
+        adam_update_scalar(params, grad, m, v, step);
+    }
+}
+
+/// The portable Adam loop: the reference the vector path must equal.
+fn adam_update_scalar(
+    params: &mut [f64],
+    grad: &[f64],
+    m: &mut [f64],
+    v: &mut [f64],
+    step: &crate::AdamStep,
+) {
+    let crate::AdamStep {
+        grad_scale,
+        beta1,
+        beta2,
+        bias1,
+        bias2,
+        learning_rate,
+        epsilon,
+    } = *step;
+    for i in 0..params.len() {
+        let g = grad[i] * grad_scale;
+        if !g.is_finite() {
+            // A non-finite component would poison the moment estimates
+            // forever; skip it and let the next evaluation recover.
+            continue;
+        }
+        m[i] = beta1 * m[i] + (1.0 - beta1) * g;
+        v[i] = beta2 * v[i] + (1.0 - beta2) * g * g;
+        let m_hat = m[i] / bias1;
+        let v_hat = v[i] / bias2;
+        params[i] -= learning_rate * m_hat / (v_hat.sqrt() + epsilon);
+    }
+}
+
+/// Four lanes of [`adam_update_scalar`] at a time.  Every lane computes the
+/// update, and a blend keeps the old `params`, `m` and `v` where `g` is not
+/// finite, in place of the scalar loop's `continue`.  The ragged tail runs
+/// the scalar loop itself.
+///
+/// # Safety
+///
+/// The CPU must support AVX2.
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "avx2")]
+unsafe fn adam_update_avx2(
+    params: &mut [f64],
+    grad: &[f64],
+    m: &mut [f64],
+    v: &mut [f64],
+    step: &crate::AdamStep,
+) {
+    use core::arch::x86_64::*;
+    let n = params.len().min(grad.len()).min(m.len()).min(v.len());
+    let scale = _mm256_set1_pd(step.grad_scale);
+    let b1 = _mm256_set1_pd(step.beta1);
+    let b2 = _mm256_set1_pd(step.beta2);
+    let one_minus_b1 = _mm256_set1_pd(1.0 - step.beta1);
+    let one_minus_b2 = _mm256_set1_pd(1.0 - step.beta2);
+    let bias1 = _mm256_set1_pd(step.bias1);
+    let bias2 = _mm256_set1_pd(step.bias2);
+    let lr = _mm256_set1_pd(step.learning_rate);
+    let eps = _mm256_set1_pd(step.epsilon);
+    let abs_mask = _mm256_castsi256_pd(_mm256_set1_epi64x(i64::MAX));
+    let inf = _mm256_set1_pd(f64::INFINITY);
+    let (p_ptr, g_ptr) = (params.as_mut_ptr(), grad.as_ptr());
+    let (m_ptr, v_ptr) = (m.as_mut_ptr(), v.as_mut_ptr());
+    let mut i = 0;
+    while i + 4 <= n {
+        let g = _mm256_mul_pd(_mm256_loadu_pd(g_ptr.add(i)), scale);
+        // |g| < ∞ is false for ±∞ and (unordered) NaN.
+        let finite = _mm256_cmp_pd::<_CMP_LT_OQ>(_mm256_and_pd(g, abs_mask), inf);
+        let m_old = _mm256_loadu_pd(m_ptr.add(i));
+        let v_old = _mm256_loadu_pd(v_ptr.add(i));
+        let p_old = _mm256_loadu_pd(p_ptr.add(i));
+        let m_new = _mm256_add_pd(_mm256_mul_pd(b1, m_old), _mm256_mul_pd(one_minus_b1, g));
+        let v_new = _mm256_add_pd(
+            _mm256_mul_pd(b2, v_old),
+            _mm256_mul_pd(_mm256_mul_pd(one_minus_b2, g), g),
+        );
+        let m_hat = _mm256_div_pd(m_new, bias1);
+        let v_hat = _mm256_div_pd(v_new, bias2);
+        let p_new = _mm256_sub_pd(
+            p_old,
+            _mm256_div_pd(
+                _mm256_mul_pd(lr, m_hat),
+                _mm256_add_pd(_mm256_sqrt_pd(v_hat), eps),
+            ),
+        );
+        _mm256_storeu_pd(m_ptr.add(i), _mm256_blendv_pd(m_old, m_new, finite));
+        _mm256_storeu_pd(v_ptr.add(i), _mm256_blendv_pd(v_old, v_new, finite));
+        _mm256_storeu_pd(p_ptr.add(i), _mm256_blendv_pd(p_old, p_new, finite));
+        i += 4;
+    }
+    adam_update_scalar(&mut params[i..], &grad[i..], &mut m[i..], &mut v[i..], step);
+}
+
+#[cfg(not(target_arch = "x86_64"))]
+unsafe fn adam_update_avx2(
+    params: &mut [f64],
+    grad: &[f64],
+    m: &mut [f64],
+    v: &mut [f64],
+    step: &crate::AdamStep,
+) {
+    adam_update_scalar(params, grad, m, v, step);
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -873,6 +1202,156 @@ mod tests {
             }
             for (a, b) in acc.iter().zip(acc_ref.iter()) {
                 assert!((a - b).abs() < 1e-12);
+            }
+        }
+    }
+
+    /// Deterministic operand values with IEEE special cases sprinkled in:
+    /// `−0.0`, `±∞`, NaN, and tiny values whose products underflow to a
+    /// signed zero.
+    fn with_specials(len: usize, seed: usize) -> Vec<f64> {
+        (0..len)
+            .map(|i| match (i * 7 + seed * 13) % 211 {
+                3 => f64::NAN,
+                17 => f64::INFINITY,
+                29 => f64::NEG_INFINITY,
+                r if r % 9 == 1 => -0.0,
+                r if r % 13 == 2 => -1e-200,
+                r if r % 13 == 5 => 1e-200,
+                r => (r as f64 - 105.0) / 37.0,
+            })
+            .collect()
+    }
+
+    fn assert_same_bits(a: &[f64], b: &[f64], what: &str) {
+        assert_eq!(a.len(), b.len(), "{what}: length");
+        for (i, (x, y)) in a.iter().zip(b.iter()).enumerate() {
+            assert_eq!(
+                x.to_bits(),
+                y.to_bits(),
+                "{what}: element {i}: {x:e} vs {y:e}"
+            );
+        }
+    }
+
+    #[cfg(target_arch = "x86_64")]
+    fn has_avx512f() -> bool {
+        let supported = crate::dispatch::avx512_supported();
+        if !supported {
+            eprintln!("note: CPU lacks avx512f; direct-driver test skipped");
+        }
+        supported
+    }
+
+    #[test]
+    #[cfg(target_arch = "x86_64")]
+    fn direct_driver_matches_packed_driver_bit_for_bit() {
+        if !has_avx512f() {
+            return;
+        }
+        let dims: Vec<usize> = (1..=17).chain([65, 100]).collect();
+        for &k in &[1, 7, 10, 50, 255, 256] {
+            for &m in &dims {
+                for &n in &dims {
+                    let a = with_specials(m * k, m + k);
+                    let b = with_specials(n * k, n + 3 * k);
+                    // A·B, A·Bᵀ and Aᵀ·B over the same buffers.
+                    let orientations = [
+                        (Op::rows(&a, k), Op::cols(&b, n), "A·B"),
+                        (Op::rows(&a, k), Op::rows(&b, k), "A·Bᵀ"),
+                        (Op::cols(&a, m), Op::cols(&b, n), "Aᵀ·B"),
+                    ];
+                    for (av, bv, what) in orientations {
+                        let packed_b = PackedB::new(&bv, n, k);
+                        let mut packed = vec![0.0; m * n];
+                        gemm_packed(&av, &packed_b, n, 1, &mut packed);
+                        // NaN-filled output: every element must be written.
+                        let mut direct = vec![f64::NAN; m * n];
+                        gemm_direct(&av, &packed_b, m, n, 3, &mut direct);
+                        assert_same_bits(&direct, &packed, &format!("{what} {m}×{k}×{n}"));
+                    }
+                }
+            }
+        }
+    }
+
+    #[test]
+    #[cfg(target_arch = "x86_64")]
+    fn direct_driver_turns_a_negative_zero_chain_into_positive_zero() {
+        if !has_avx512f() {
+            return;
+        }
+        // −1e-200 · 1e-200 underflows: the FMA chain from +0.0 ends at −0.0,
+        // and both drivers must store +0.0.
+        let (a, b) = ([-1e-200], [1e-200]);
+        let packed_b = PackedB::new(&Op::cols(&b, 1), 1, 1);
+        let mut packed = [f64::NAN];
+        gemm_packed(&Op::rows(&a, 1), &packed_b, 1, 1, &mut packed);
+        let mut direct = [f64::NAN];
+        gemm_direct(&Op::rows(&a, 1), &packed_b, 1, 1, 1, &mut direct);
+        assert_eq!(packed[0].to_bits(), 0.0_f64.to_bits());
+        assert_eq!(direct[0].to_bits(), 0.0_f64.to_bits());
+    }
+
+    #[test]
+    #[should_panic(expected = "too short")]
+    fn gemm_rejects_an_operand_slice_too_short_for_its_view() {
+        // A 2×3 row-major view needs 6 values; give it 5.
+        let a = [1.0; 5];
+        let b = [1.0; 6];
+        let mut out = [0.0; 4];
+        gemm(Op::rows(&a, 3), Op::cols(&b, 2), 2, 3, 2, &mut out);
+    }
+
+    #[test]
+    #[should_panic(expected = "too short")]
+    fn gemm_rejects_a_transposed_operand_slice_too_short_for_its_view() {
+        // A 3×4 transposed view with stride 3 needs 12 values; give it 11.
+        let a = [1.0; 11];
+        let b = [1.0; 8];
+        let mut out = [0.0; 6];
+        gemm(Op::cols(&a, 3), Op::cols(&b, 2), 3, 4, 2, &mut out);
+    }
+
+    #[test]
+    #[cfg(target_arch = "x86_64")]
+    fn adam_vector_path_matches_scalar_loop_bit_for_bit() {
+        if !std::arch::is_x86_feature_detected!("avx2") {
+            eprintln!("note: CPU lacks avx2; Adam vector-path test skipped");
+            return;
+        }
+        for &len in &[0, 1, 3, 4, 5, 8, 9, 31, 4734] {
+            let mut p_vec = seq(len, 0.3);
+            let mut p_ref = p_vec.clone();
+            let (mut m_vec, mut v_vec) = (vec![0.0; len], vec![0.0; len]);
+            let (mut m_ref, mut v_ref) = (vec![0.0; len], vec![0.0; len]);
+            for t in 1..=20 {
+                let mut grad = seq(len, 0.01 * t as f64);
+                for (i, g) in grad.iter_mut().enumerate() {
+                    *g = match (i + t) % 23 {
+                        0 => f64::NAN,
+                        5 => f64::INFINITY,
+                        9 => f64::NEG_INFINITY,
+                        11 => -0.0,
+                        17 => 1e300, // overflows once scaled by 1e10 below
+                        _ => *g,
+                    };
+                }
+                let step = crate::AdamStep {
+                    grad_scale: if t % 3 == 0 { 1e10 } else { 0.7 },
+                    beta1: 0.9,
+                    beta2: 0.999,
+                    bias1: 1.0 - 0.9_f64.powi(t as i32),
+                    bias2: 1.0 - 0.999_f64.powi(t as i32),
+                    learning_rate: 0.01,
+                    epsilon: 1e-8,
+                };
+                // SAFETY: AVX2 was detected above.
+                unsafe { adam_update_avx2(&mut p_vec, &grad, &mut m_vec, &mut v_vec, &step) };
+                adam_update_scalar(&mut p_ref, &grad, &mut m_ref, &mut v_ref, &step);
+                assert_same_bits(&p_vec, &p_ref, &format!("params, len {len}, step {t}"));
+                assert_same_bits(&m_vec, &m_ref, &format!("m, len {len}, step {t}"));
+                assert_same_bits(&v_vec, &v_ref, &format!("v, len {len}, step {t}"));
             }
         }
     }

@@ -50,6 +50,53 @@ pub fn add_scaled_product(acc: &mut [f64], x: &[f64], y: &[f64], scale: f64) {
     crate::packed::add_scaled_product(acc, x, y, scale);
 }
 
+/// The per-step constants of one [`adam_update`], shared by every parameter.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub struct AdamStep {
+    /// Factor applied to every gradient entry first (`1.0` unless the
+    /// gradient norm is clipped).
+    pub grad_scale: f64,
+    /// Decay rate of the first moment.
+    pub beta1: f64,
+    /// Decay rate of the second moment.
+    pub beta2: f64,
+    /// First-moment bias correction `1 − β₁ᵗ`.
+    pub bias1: f64,
+    /// Second-moment bias correction `1 − β₂ᵗ`.
+    pub bias2: f64,
+    /// Step size.
+    pub learning_rate: f64,
+    /// Stabiliser added to the denominator.
+    pub epsilon: f64,
+}
+
+/// One Adam (Kingma & Ba) update of every parameter, through the runtime
+/// kernel dispatch.  With `g = grad[i] · grad_scale`:
+///
+/// ```text
+/// m[i] = β₁·m[i] + (1 − β₁)·g
+/// v[i] = β₂·v[i] + (1 − β₂)·g·g
+/// params[i] -= lr · (m[i] / bias1) / (√(v[i] / bias2) + ε)
+/// ```
+///
+/// Entries whose `g` is not finite leave `params[i]`, `m[i]` and `v[i]`
+/// untouched.  The AVX2 path runs four lanes of exactly this sequence of
+/// IEEE operations (no fused multiply-add), so both dispatch paths give the
+/// same bits.
+///
+/// # Panics
+///
+/// Panics if the slices have different lengths.
+pub fn adam_update(
+    params: &mut [f64],
+    grad: &[f64],
+    m: &mut [f64],
+    v: &mut [f64],
+    step: &AdamStep,
+) {
+    crate::packed::adam_update(params, grad, m, v, step);
+}
+
 /// Fused squared-exponential apply, through the runtime kernel dispatch:
 /// turns one row of a cross-kernel GEMM output into kernel values in place,
 ///

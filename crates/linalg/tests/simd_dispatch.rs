@@ -233,7 +233,7 @@ fn batched_gp_prediction_buffers_match_between_dispatch_paths() {
 fn reported_isa_is_consistent_with_forcing() {
     let _guard = serial();
     let auto = nnbo_linalg::kernel_isa();
-    assert!(auto == "avx2+fma" || auto == "portable");
+    assert!(auto == "avx512f" || auto == "avx2+fma" || auto == "portable");
     let forced = with_portable(nnbo_linalg::kernel_isa);
     assert_eq!(forced, "portable");
     assert_eq!(nnbo_linalg::kernel_isa(), auto);

@@ -136,8 +136,20 @@ impl DenseLayer {
         pre_activation: &Matrix,
         grad_output: &Matrix,
     ) -> (LayerGradient, Matrix) {
+        let (grad, delta) = self.param_gradient(input, pre_activation, grad_output);
+        (grad, self.input_gradient(&delta))
+    }
+
+    /// The parameter half of [`Self::backward`]: the parameter gradient plus
+    /// `delta = grad_output ⊙ act'(z)` (shape `N x out`), from which
+    /// [`Self::input_gradient`] finishes the input gradient.
+    pub(crate) fn param_gradient(
+        &self,
+        input: &Matrix,
+        pre_activation: &Matrix,
+        grad_output: &Matrix,
+    ) -> (LayerGradient, Matrix) {
         let act = self.activation;
-        // delta = grad_output ⊙ act'(z), shape N x out.
         let delta = grad_output.hadamard(&pre_activation.map(|x| act.derivative(x)));
         // dW = deltaᵀ X  (out x in);  db = column sums of delta.
         let grad_weights = delta.transpose_matmul(input);
@@ -147,15 +159,19 @@ impl DenseLayer {
                 *gb += d;
             }
         }
-        // grad_input = delta W, shape N x in.
-        let grad_input = delta.matmul(&self.weights);
         (
             LayerGradient {
                 weights: grad_weights,
                 bias: grad_bias,
             },
-            grad_input,
+            delta,
         )
+    }
+
+    /// The gradient with respect to the layer input, `delta · W` (shape
+    /// `N x in`), from the `delta` of [`Self::param_gradient`].
+    pub(crate) fn input_gradient(&self, delta: &Matrix) -> Matrix {
+        delta.matmul(&self.weights)
     }
 }
 

@@ -254,6 +254,25 @@ impl Mlp {
     /// Panics if the cache does not match this network's layer count or the gradient
     /// shape does not match the cached output.
     pub fn backward(&self, cache: &ForwardCache, grad_output: &Matrix) -> (MlpGradient, Matrix) {
+        let (grad, first_delta) = self.backprop(cache, grad_output);
+        let grad_input = self.layers[0].input_gradient(&first_delta);
+        (grad, grad_input)
+    }
+
+    /// The parameter gradient of [`Self::backward`] alone.  It skips
+    /// ∂loss/∂input, and with it the first layer's `N x h · h x d` product,
+    /// for training loops that never read the input gradient.
+    ///
+    /// # Panics
+    ///
+    /// Same conditions as [`Self::backward`].
+    pub fn param_gradient(&self, cache: &ForwardCache, grad_output: &Matrix) -> MlpGradient {
+        self.backprop(cache, grad_output).0
+    }
+
+    /// Back-propagation down to the first layer: the parameter gradient plus
+    /// the first layer's `delta`, from which its input gradient follows.
+    fn backprop(&self, cache: &ForwardCache, grad_output: &Matrix) -> (MlpGradient, Matrix) {
         assert_eq!(
             cache.inputs.len(),
             self.layers.len(),
@@ -264,18 +283,25 @@ impl Mlp {
             cache.output.shape(),
             "gradient shape does not match cached output"
         );
-        let mut grads: Vec<LayerGradient> = Vec::with_capacity(self.layers.len());
-        let mut grad = grad_output.clone();
+        let backward_layer = |idx: usize, grad: &Matrix| {
+            self.layers[idx].param_gradient(&cache.inputs[idx], &cache.pre_activations[idx], grad)
+        };
+        // An Mlp always has its output layer.
+        let last = self.layers.len() - 1;
+        let (g, mut delta) = backward_layer(last, grad_output);
         let mut per_layer: Vec<LayerGradient> = Vec::with_capacity(self.layers.len());
-        for (idx, layer) in self.layers.iter().enumerate().rev() {
-            let (g, grad_in) =
-                layer.backward(&cache.inputs[idx], &cache.pre_activations[idx], &grad);
+        per_layer.push(g);
+        for idx in (0..last).rev() {
+            let upstream = self.layers[idx + 1].input_gradient(&delta);
+            // Free the spent delta before this layer allocates its own, so no
+            // more N-row buffers are live at once than one layer needs.
+            drop(delta);
+            let (g, d) = backward_layer(idx, &upstream);
             per_layer.push(g);
-            grad = grad_in;
+            delta = d;
         }
         per_layer.reverse();
-        grads.extend(per_layer);
-        (MlpGradient { layers: grads }, grad)
+        (MlpGradient { layers: per_layer }, delta)
     }
 }
 
@@ -325,6 +351,16 @@ mod tests {
         assert_eq!(copy.flat_params(), flat);
         let x = [0.3, 0.1, -0.2];
         assert_eq!(copy.forward(&x), mlp.forward(&x));
+    }
+
+    #[test]
+    fn param_gradient_equals_the_gradient_of_backward() {
+        let mlp = small_mlp(9);
+        let x = Matrix::from_rows(&[vec![0.2, -0.5, 0.8], vec![-0.3, 0.6, 0.1]]);
+        let cache = mlp.forward_cached(&x);
+        let grad_out = cache.output().map(|v| 2.0 * v - 0.1);
+        let (full, _) = mlp.backward(&cache, &grad_out);
+        assert_eq!(mlp.param_gradient(&cache, &grad_out), full);
     }
 
     #[test]

@@ -5,6 +5,7 @@
 //! likelihood (eq. 11).  Representing the full parameter set as one flat `Vec<f64>`
 //! lets a single optimizer state drive all of them.
 
+use nnbo_linalg::{adam_update, AdamStep};
 use serde::{Deserialize, Serialize};
 
 /// A first-order optimizer that updates a flat parameter vector in place given the
@@ -94,16 +95,19 @@ impl Adam {
     pub fn config(&self) -> &AdamConfig {
         &self.config
     }
-}
 
-impl Default for Adam {
-    fn default() -> Self {
-        Adam::new(AdamConfig::default())
-    }
-}
-
-impl Optimizer for Adam {
-    fn step(&mut self, params: &mut [f64], grad: &[f64]) {
+    /// [`Optimizer::step`] with the gradient's sum of squares supplied by the
+    /// caller, for a training loop that already computed it (an early-stop
+    /// test on the gradient RMS), so the sum is not taken twice.
+    ///
+    /// `sum_sq` must be `Σ grad[i]²` summed in index order — exactly what
+    /// [`Optimizer::step`] computes for the clipping norm — for the two calls
+    /// to agree bit for bit.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `params` and `grad` have different lengths.
+    pub fn step_with_sum_sq(&mut self, params: &mut [f64], grad: &[f64], sum_sq: f64) {
         assert_eq!(
             params.len(),
             grad.len(),
@@ -123,28 +127,36 @@ impl Optimizer for Adam {
             grad_clip,
         } = self.config;
 
-        let norm = grad.iter().map(|g| g * g).sum::<f64>().sqrt();
-        let scale = if norm > grad_clip && norm > 0.0 {
+        let norm = sum_sq.sqrt();
+        let grad_scale = if norm > grad_clip && norm > 0.0 {
             grad_clip / norm
         } else {
             1.0
         };
+        let step = AdamStep {
+            grad_scale,
+            beta1,
+            beta2,
+            bias1: 1.0 - beta1.powi(self.t as i32),
+            bias2: 1.0 - beta2.powi(self.t as i32),
+            learning_rate,
+            epsilon,
+        };
+        // Non-finite gradient entries are skipped: they would poison the
+        // moment estimates forever, and the next evaluation can recover.
+        adam_update(params, grad, &mut self.m, &mut self.v, &step);
+    }
+}
 
-        let bc1 = 1.0 - beta1.powi(self.t as i32);
-        let bc2 = 1.0 - beta2.powi(self.t as i32);
-        for i in 0..params.len() {
-            let g = grad[i] * scale;
-            if !g.is_finite() {
-                // A non-finite component would poison the moment estimates forever;
-                // skip it and let the next evaluation recover.
-                continue;
-            }
-            self.m[i] = beta1 * self.m[i] + (1.0 - beta1) * g;
-            self.v[i] = beta2 * self.v[i] + (1.0 - beta2) * g * g;
-            let m_hat = self.m[i] / bc1;
-            let v_hat = self.v[i] / bc2;
-            params[i] -= learning_rate * m_hat / (v_hat.sqrt() + epsilon);
-        }
+impl Default for Adam {
+    fn default() -> Self {
+        Adam::new(AdamConfig::default())
+    }
+}
+
+impl Optimizer for Adam {
+    fn step(&mut self, params: &mut [f64], grad: &[f64]) {
+        self.step_with_sum_sq(params, grad, grad.iter().map(|g| g * g).sum());
     }
 
     fn reset(&mut self) {
@@ -322,5 +334,108 @@ mod tests {
         let mut r = vec![1.0];
         adam2.step(&mut r, &[1.0]);
         assert_eq!(q, r);
+    }
+
+    /// The plain per-parameter Adam loop with its clipping norm: the
+    /// reference the dispatched step must equal bit for bit.
+    struct ScalarAdam {
+        config: AdamConfig,
+        m: Vec<f64>,
+        v: Vec<f64>,
+        t: i32,
+    }
+
+    impl ScalarAdam {
+        fn step(&mut self, params: &mut [f64], grad: &[f64]) {
+            if self.m.len() != params.len() {
+                self.m = vec![0.0; params.len()];
+                self.v = vec![0.0; params.len()];
+            }
+            self.t += 1;
+            let c = self.config;
+            let norm = grad.iter().map(|g| g * g).sum::<f64>().sqrt();
+            let scale = if norm > c.grad_clip && norm > 0.0 {
+                c.grad_clip / norm
+            } else {
+                1.0
+            };
+            let bc1 = 1.0 - c.beta1.powi(self.t);
+            let bc2 = 1.0 - c.beta2.powi(self.t);
+            for i in 0..params.len() {
+                let g = grad[i] * scale;
+                if !g.is_finite() {
+                    continue;
+                }
+                self.m[i] = c.beta1 * self.m[i] + (1.0 - c.beta1) * g;
+                self.v[i] = c.beta2 * self.v[i] + (1.0 - c.beta2) * g * g;
+                let m_hat = self.m[i] / bc1;
+                let v_hat = self.v[i] / bc2;
+                params[i] -= c.learning_rate * m_hat / (v_hat.sqrt() + c.epsilon);
+            }
+        }
+    }
+
+    #[test]
+    fn dispatched_step_matches_the_scalar_loop_bit_for_bit() {
+        // 4,734 parameters (the paper network's size, not a multiple of the
+        // vector width), 100 steps.  Every fifth step carries non-finite
+        // entries, and the clip (norm 5) is active on most steps.
+        let config = AdamConfig {
+            learning_rate: 0.01,
+            grad_clip: 5.0,
+            ..AdamConfig::default()
+        };
+        let len = 4734;
+        let mut adam = Adam::new(config);
+        let mut reference = ScalarAdam {
+            config,
+            m: Vec::new(),
+            v: Vec::new(),
+            t: 0,
+        };
+        let mut p: Vec<f64> = (0..len)
+            .map(|i| ((i * 37 % 101) as f64 - 50.0) / 60.0)
+            .collect();
+        let mut p_ref = p.clone();
+        let mut clipped = 0;
+        for t in 0..100 {
+            let mut grad: Vec<f64> = p
+                .iter()
+                .enumerate()
+                .map(|(i, x)| 2.0 * x + ((i * 13 + t * 7) % 29) as f64 / 29.0 - 0.5)
+                .collect();
+            if t % 5 == 4 {
+                grad[t] = f64::NAN;
+                grad[len - 1 - t] = f64::INFINITY;
+                grad[2 * t + 1] = f64::NEG_INFINITY;
+            }
+            if grad.iter().map(|g| g * g).sum::<f64>().sqrt() > config.grad_clip {
+                clipped += 1;
+            }
+            adam.step(&mut p, &grad);
+            reference.step(&mut p_ref, &grad);
+            for (i, (a, b)) in p.iter().zip(p_ref.iter()).enumerate() {
+                assert_eq!(a.to_bits(), b.to_bits(), "step {t}, param {i}: {a} vs {b}");
+            }
+        }
+        assert!(clipped >= 50, "the clip must be active: {clipped} of 100");
+        assert_eq!(adam.m, reference.m);
+        assert_eq!(adam.v, reference.v);
+    }
+
+    #[test]
+    fn step_with_a_supplied_sum_of_squares_equals_step() {
+        let grad = [0.3, -1.2, 4.0, f64::NAN, 0.0, 2.5];
+        let sum_sq: f64 = grad.iter().map(|g| g * g).sum();
+        let mut a = Adam::with_learning_rate(0.05);
+        let mut b = a.clone();
+        let mut pa = vec![1.0, -1.0, 0.5, 0.25, 2.0, -3.0];
+        let mut pb = pa.clone();
+        for _ in 0..5 {
+            a.step(&mut pa, &grad);
+            b.step_with_sum_sq(&mut pb, &grad, sum_sq);
+        }
+        assert_eq!(pa, pb);
+        assert_eq!(a, b);
     }
 }
