@@ -116,12 +116,12 @@ impl SurrogateModel for GpSurrogate {
 /// baselines.
 ///
 /// Across the refits of one Bayesian-optimization run the trainer keeps the
-/// previous [`FitContext`] (the `N × N × D` pairwise squared-distance tensor)
-/// in a cache slot: since the BO history grows append-only, each refit
-/// extends the tensor by one row/column in `O(N·D)` instead of rebuilding it
-/// in `O(N²·D)`.  The cache never changes results — an incrementally grown
-/// context is bit-identical to a fresh one, and a history that does not
-/// extend the cached rows triggers a rebuild.  A clone starts with an empty
+/// previous [`FitContext`] (the training rows and their transpose, which the
+/// likelihood's pairwise Gram and trace kernels read) in a cache slot: since
+/// the BO history grows append-only, each refit extends it by the new rows,
+/// `O(N·D)`.  The cache never changes results — an extended context equals a
+/// fresh one, and a history that does not extend the cached rows triggers a
+/// rebuild.  A clone starts with an empty
 /// slot of its own: two trainers driving different BO runs would only evict
 /// each other's context (and contend on the lock) if they shared one.
 #[derive(Debug, Default)]
@@ -165,9 +165,9 @@ impl SurrogateTrainer for GpSurrogateTrainer {
     }
 
     /// Multi-output fitting through [`GpModel::fit_multi_warm_cached`]: the
-    /// objective and every constraint share one fit context (pairwise
-    /// squared-distance tensor over the common design points, grown
-    /// incrementally across refits through the trainer's cache), train on
+    /// objective and every constraint share one fit context (the common
+    /// design points and their transpose, extended across refits through the
+    /// trainer's cache), train on
     /// scoped threads, and — when the previous refit's surrogates are
     /// supplied — warm-start each output's hyper-parameter optimization from
     /// its last optimum instead of rerunning the multi-restart schedule.

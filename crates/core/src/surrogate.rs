@@ -129,7 +129,7 @@ pub trait SurrogateTrainer: Send + Sync {
     /// from random initialisation.  The default implementation ignores `prev` and fits
     /// sequentially through [`SurrogateTrainer::fit`], consuming `rng`
     /// exactly as the equivalent sequence of single fits would; trainers with
-    /// shareable fit structure (the classical GP's distance tensor, the
+    /// shareable fit structure (the classical GP's fit context, the
     /// ensemble's independent members) override this to share that work and
     /// fan the per-output training out over scoped threads.
     ///

@@ -6,11 +6,13 @@
 //! * **Within one fit** — every Adam iteration needs the kernel matrix and the
 //!   gradient of the log marginal likelihood with respect to each
 //!   log-lengthscale.  Both are functions of the *pairwise per-dimension
-//!   squared differences* of the training rows, which do not depend on the
-//!   hyper-parameters at all.  [`FitContext`] computes that `N × N × D` tensor
-//!   once per refit; every iteration then builds the Gram matrix by a weighted
-//!   reduction over it and accumulates all `D` lengthscale gradients in a
-//!   single fused pass — no per-iteration `∂K/∂θ` matrices are materialised.
+//!   squared differences* of the training rows.  Every iteration builds the
+//!   Gram matrix by one weighted reduction per pair and accumulates all `D`
+//!   lengthscale gradients in a single fused pass, each recomputing the
+//!   squared differences from the rows in registers — neither per-iteration
+//!   `∂K/∂θ` matrices nor an `N × N × D` difference tensor are materialised.
+//!   [`FitContext`] holds the rows and their transpose, which is all those
+//!   kernels read.
 //! * **Across outputs** — the constrained BO loop fits one surrogate per
 //!   output (objective plus each constraint) over the *same* `X`, so one
 //!   [`FitContext`] serves every output of a
@@ -30,167 +32,106 @@ use rand::Rng;
 use crate::{GpConfig, GpError, GpHyperParams};
 
 /// Hyper-parameter-independent structure shared by every output and every
-/// optimizer iteration of one refit: the pairwise per-dimension squared
-/// differences of the training rows.
+/// optimizer iteration of one refit: the training rows and their transpose.
 ///
-/// The tensor is stored with *capacity-strided* rows so a Bayesian-
-/// optimization loop can grow it by one observation at a time
-/// ([`FitContext::append`], `O(N·D)` amortised) instead of rebuilding the
-/// whole `N × N × D` tensor every refit; [`FitContext::update_to`] applies
-/// that incrementally whenever the new design matrix extends the previous
-/// one and falls back to a full rebuild otherwise.  Appended entries are
-/// computed by exactly the arithmetic the full rebuild uses, so an
-/// incrementally grown context is bit-identical to a fresh one.
+/// Every likelihood evaluation recomputes each pair's per-dimension squared
+/// differences `(x_i,d − x_j,d)²` inside its Gram and trace kernels
+/// ([`nnbo_linalg::weighted_sq_dist_lower`],
+/// [`nnbo_linalg::add_scaled_sq_diffs`]), with the same subtraction and
+/// multiplication as a stored copy would have used.  The `D × N` transpose
+/// lets the Gram kernel read eight points per dimension at once.  A
+/// Bayesian-optimization loop grows the context by one observation at a time
+/// ([`FitContext::append`], `O(N·D)`); [`FitContext::update_to`] applies that
+/// whenever the new design matrix extends the previous one and falls back to
+/// a full rebuild otherwise.  Either way the context equals a fresh one.
 #[derive(Debug, Clone)]
 pub struct FitContext {
-    n: usize,
-    dim: usize,
-    /// Row stride of the tensor in points (`cap ≥ n`); rows are laid out at
-    /// this stride so appends only re-layout when the capacity is exhausted.
-    cap: usize,
-    /// `sqdiff[(i·cap + j)·dim + d] = (x_i,d − x_j,d)²` — symmetric in
-    /// `(i, j)`, zero diagonal; laid out with `d` fastest so the fused
-    /// gradient pass reads one contiguous `D`-stripe per matrix entry.
-    sqdiff: Vec<f64>,
-    /// The training rows the tensor describes, kept so [`FitContext::append`]
-    /// can difference a new point against them and
-    /// [`FitContext::update_to`] can verify the prefix.
+    /// The training rows, `N × D`.
     x: Matrix,
+    /// Their transpose, `D × N`.
+    xt: Matrix,
 }
 
 impl FitContext {
     /// Builds the context for the training rows of `x` (`N × D`).
     pub fn new(x: &Matrix) -> Self {
-        let n = x.nrows();
-        let dim = x.ncols();
-        let mut sqdiff = vec![0.0; n * n * dim];
-        for i in 0..n {
-            let xi = x.row(i);
-            for j in 0..i {
-                let xj = x.row(j);
-                let lower = (i * n + j) * dim;
-                let upper = (j * n + i) * dim;
-                for d in 0..dim {
-                    let diff = xi[d] - xj[d];
-                    let sq = diff * diff;
-                    sqdiff[lower + d] = sq;
-                    sqdiff[upper + d] = sq;
-                }
-            }
-        }
         FitContext {
-            n,
-            dim,
-            cap: n,
-            sqdiff,
             x: x.clone(),
+            xt: x.transpose(),
         }
     }
 
     /// Number of training points.
     pub fn len(&self) -> usize {
-        self.n
+        self.x.nrows()
     }
 
     /// `true` when the context covers no points.
     pub fn is_empty(&self) -> bool {
-        self.n == 0
+        self.len() == 0
     }
 
     /// Input dimensionality.
     pub fn dim(&self) -> usize {
-        self.dim
+        self.x.ncols()
     }
 
-    /// The `D`-stripe of squared per-dimension differences between points `i`
-    /// and `j`.
-    #[inline]
-    pub(crate) fn stripe(&self, i: usize, j: usize) -> &[f64] {
-        let base = (i * self.cap + j) * self.dim;
-        &self.sqdiff[base..base + self.dim]
-    }
-
-    /// Appends one training point: one new row/column of squared differences,
-    /// `O(N·D)` work (amortised — the tensor re-layouts only when its
-    /// capacity is exhausted, growing by 25% then).
+    /// Appends one training point, `O(N·D)` work.
     ///
     /// # Panics
     ///
     /// Panics if `row.len() != dim()`.
     pub fn append(&mut self, row: &[f64]) {
-        assert_eq!(row.len(), self.dim, "append dimension mismatch");
-        let n = self.n;
-        let dim = self.dim;
-        if n + 1 > self.cap {
-            let new_cap = (n + 1) + (n + 1) / 4;
-            let mut grown = vec![0.0; new_cap * new_cap * dim];
-            for i in 0..n {
-                grown[i * new_cap * dim..(i * new_cap + n) * dim]
-                    .copy_from_slice(&self.sqdiff[i * self.cap * dim..(i * self.cap + n) * dim]);
-            }
-            self.sqdiff = grown;
-            self.cap = new_cap;
-        }
-        let cap = self.cap;
-        for j in 0..n {
-            let xj = self.x.row(j);
-            let lower = (n * cap + j) * dim;
-            let upper = (j * cap + n) * dim;
-            for d in 0..dim {
-                let diff = row[d] - xj[d];
-                let sq = diff * diff;
-                self.sqdiff[lower + d] = sq;
-                self.sqdiff[upper + d] = sq;
-            }
-        }
-        let diag = (n * cap + n) * dim;
-        self.sqdiff[diag..diag + dim].fill(0.0);
+        assert_eq!(row.len(), self.dim(), "append dimension mismatch");
         self.x = Matrix::vstack(&self.x, &Matrix::from_rows(&[row.to_vec()]));
-        self.n = n + 1;
+        self.x.transpose_into(&mut self.xt);
     }
 
     /// Brings the context up to date with `x`: when `x` extends the rows the
     /// context was built from (the append-only growth of a BO history), the
-    /// missing points are [`FitContext::append`]ed in `O(N·D)` each and the
-    /// call returns `true`; any other change triggers a full rebuild and
-    /// returns `false`.  Either way the context describes exactly `x`
-    /// afterwards, bit-identical to `FitContext::new(x)`.
+    /// missing points are appended and the call returns `true`; any other
+    /// change triggers a full rebuild and returns `false`.  Either way the
+    /// context describes exactly `x` afterwards, identical to
+    /// `FitContext::new(x)`.
     pub fn update_to(&mut self, x: &Matrix) -> bool {
-        let extends = self.n > 0
-            && x.ncols() == self.dim
-            && x.nrows() >= self.n
-            && x.as_slice()[..self.n * self.dim] == *self.x.as_slice();
+        let n = self.len();
+        let extends = n > 0
+            && x.ncols() == self.dim()
+            && x.nrows() >= n
+            && x.as_slice()[..n * self.dim()] == *self.x.as_slice();
         if !extends {
             *self = FitContext::new(x);
             return false;
         }
-        for r in self.n..x.nrows() {
-            self.append(x.row(r));
+        if x.nrows() > n {
+            self.x.clone_from(x);
+            self.x.transpose_into(&mut self.xt);
         }
         true
     }
 
-    /// Writes the ARD-SE kernel matrix for inverse squared lengthscale weights
-    /// `inv_sq` and signal variance `sf2` into `out` (resized when needed).
+    /// Writes the lower triangle of the ARD-SE kernel matrix for inverse
+    /// squared lengthscale weights `inv_sq` and signal variance `sf2` into
+    /// `out` (resized when needed); the upper triangle is left stale, as
+    /// neither the factorization nor the symmetric trace reads it.
     ///
     /// The direct distance evaluation is at least as accurate as the norm
     /// expansion used on the prediction path (no cancellation of large common
-    /// offsets), and exactly symmetric with `σf²` on the diagonal.  The
-    /// weighted reduction per entry runs on the dispatched FMA dot kernel.
+    /// offsets), with `σf²` on the diagonal.  The weighted reductions run on
+    /// the dispatched pairwise kernel; `exp` is the scalar `f64::exp`.
     pub(crate) fn gram_into(&self, inv_sq: &[f64], sf2: f64, out: &mut Matrix) {
-        debug_assert_eq!(inv_sq.len(), self.dim);
-        let n = self.n;
+        debug_assert_eq!(inv_sq.len(), self.dim());
+        let n = self.len();
         if out.shape() != (n, n) {
             *out = Matrix::zeros(n, n);
         }
+        nnbo_linalg::weighted_sq_dist_lower(&self.x, &self.xt, inv_sq, out);
         for i in 0..n {
-            out[(i, i)] = sf2;
-            for j in 0..i {
-                let d2 = nnbo_linalg::fused_dot(self.stripe(i, j), inv_sq);
-                let v = sf2 * (-0.5 * d2).exp();
-                out[(i, j)] = v;
-                out[(j, i)] = v;
+            let row = out.row_mut(i);
+            for v in &mut row[..i] {
+                *v = sf2 * (-0.5 * *v).exp();
             }
+            row[i] = sf2;
         }
     }
 }
@@ -213,6 +154,8 @@ pub struct FitScratch {
     inv_sq: Vec<f64>,
     /// Per-dimension lengthscale trace-term accumulators.
     ls_grad: Vec<f64>,
+    /// One row of the trace weights `(K⁻¹ − ααᵀ) ∘ K` below the diagonal.
+    row_mg: Vec<f64>,
     /// Gradient with respect to `[log σf, log l_1.., log σn, µ0]`.
     pub(crate) grad: Vec<f64>,
 }
@@ -228,6 +171,7 @@ impl FitScratch {
             residual: vec![0.0; n],
             inv_sq: vec![0.0; dim],
             ls_grad: vec![0.0; dim],
+            row_mg: vec![0.0; n],
             grad: vec![0.0; dim + 3],
         }
     }
@@ -261,11 +205,11 @@ pub enum InverseStrategy {
 ///
 /// Returns `None` when the kernel matrix cannot be factored or the likelihood
 /// or gradient is not finite, which the optimizer treats as "stop here".
-/// Arithmetic notes: the Gram matrix comes from the context's distance tensor
-/// (one weighted reduction per entry), and all `D` lengthscale trace terms are
-/// accumulated in one fused pass over `(K⁻¹ − ααᵀ) ∘ K` — the only
-/// per-iteration allocations left are inside the Cholesky factorization
-/// itself.
+/// Arithmetic notes: the Gram matrix comes from one pairwise weighted
+/// reduction per entry over the context's rows, and all `D` lengthscale trace
+/// terms are accumulated in one fused pass over `(K⁻¹ − ααᵀ) ∘ K`, both
+/// recomputing each pair's squared differences — the only per-iteration
+/// allocations left are inside the Cholesky factorization itself.
 pub(crate) fn nll_and_grad_into(
     ctx: &FitContext,
     y: &[f64],
@@ -342,6 +286,7 @@ pub(crate) fn nll_into(
         residual,
         inv_sq,
         ls_grad,
+        row_mg,
         grad,
     } = scratch;
 
@@ -370,17 +315,18 @@ pub(crate) fn nll_into(
     }
 
     // Gradient: dL/dθ = ½ tr((K⁻¹ - α αᵀ) ∂K/∂θ), with
-    //   ∂K/∂log σf = 2 K,   ∂K/∂log l_d = K ∘ sqdiff_d / l_d²,
+    //   ∂K/∂log σf = 2 K,   ∂K/∂log l_d = K ∘ (x_·d − x_·d)² / l_d²,
     //   ∂K/∂log σn = 2 σn² I,   dL/dµ0 = -Σ α.
     let mut g_signal = 0.0;
     grad.fill(0.0);
     ls_grad.fill(0.0);
     match strategy {
         InverseStrategy::Symmetric => {
-            // Every matrix in the trace — K⁻¹, ααᵀ, K, the distance stripes —
-            // is symmetric, so the fused pass visits only `j < i`, doubling
-            // those terms, plus the diagonal (whose distance stripes are
-            // zero, so it contributes to the signal term alone).
+            // Every matrix in the trace — K⁻¹, ααᵀ, K, the squared
+            // differences — is symmetric, so the fused pass visits only
+            // `j < i`, doubling those terms, plus the diagonal (whose squared
+            // differences are zero, so it contributes to the signal term
+            // alone).
             chol.symmetric_inverse_into(k_inv, k_inv_work);
             for i in 0..n {
                 let kinv_row = k_inv.row(i);
@@ -391,8 +337,9 @@ pub(crate) fn nll_into(
                     let m = kinv_row[j] - ai * alpha[j];
                     let mg = m * gram_row[j];
                     row_signal += mg;
-                    nnbo_linalg::add_scaled_product(ls_grad, inv_sq, ctx.stripe(i, j), mg);
+                    row_mg[j] = mg;
                 }
+                nnbo_linalg::add_scaled_sq_diffs(ls_grad, &ctx.x, i, &row_mg[..i], inv_sq);
                 let m_diag = kinv_row[i] - ai * ai;
                 g_signal += 2.0 * (2.0 * row_signal + m_diag * gram_row[i]);
             }
@@ -402,17 +349,26 @@ pub(crate) fn nll_into(
         }
         InverseStrategy::DenseSweeps => {
             chol.inverse_into(k_inv);
+            // The Gram build wrote the lower triangle only.
+            for i in 0..n {
+                for j in 0..i {
+                    gram[(j, i)] = gram[(i, j)];
+                }
+            }
             for i in 0..n {
                 let kinv_row = k_inv.row(i);
                 let gram_row = gram.row(i);
                 let ai = alpha[i];
+                let xi = ctx.x.row(i);
                 for j in 0..n {
                     let m = kinv_row[j] - ai * alpha[j];
                     let mg = m * gram_row[j];
                     g_signal += 2.0 * mg;
-                    let stripe = ctx.stripe(i, j);
-                    for ((g, &w), &s) in ls_grad.iter_mut().zip(inv_sq.iter()).zip(stripe.iter()) {
-                        *g += mg * w * s;
+                    let xj = ctx.x.row(j);
+                    for (((g, &w), &a), &b) in ls_grad.iter_mut().zip(inv_sq.iter()).zip(xi).zip(xj)
+                    {
+                        let diff = a - b;
+                        *g += mg * w * (diff * diff);
                     }
                 }
             }
@@ -596,31 +552,265 @@ pub(crate) fn initial_hyper<R: Rng + ?Sized>(
 mod tests {
     use super::*;
 
-    #[test]
-    fn context_distance_tensor_is_symmetric_with_zero_diagonal() {
-        let x = Matrix::from_rows(&[vec![0.1, 0.9], vec![0.8, 0.4], vec![-0.5, 0.2]]);
-        let ctx = FitContext::new(&x);
-        assert_eq!(ctx.len(), 3);
-        assert_eq!(ctx.dim(), 2);
-        assert!(!ctx.is_empty());
-        for i in 0..3 {
-            for d in 0..2 {
-                assert_eq!(ctx.sqdiff[(i * 3 + i) * 2 + d], 0.0);
+    /// The `N × N × D` squared-difference tensor the fit used to store, with
+    /// the Gram build and the gradient trace that read it: the reference
+    /// the pairwise kernels must match bit for bit.
+    struct TensorReference {
+        n: usize,
+        dim: usize,
+        /// `sqdiff[(i·n + j)·dim + d] = (x_i,d − x_j,d)²`, both triangles.
+        sqdiff: Vec<f64>,
+    }
+
+    impl TensorReference {
+        fn new(x: &Matrix) -> Self {
+            let (n, dim) = x.shape();
+            let mut sqdiff = vec![0.0; n * n * dim];
+            for i in 0..n {
+                let xi = x.row(i);
+                for j in 0..i {
+                    let xj = x.row(j);
+                    for d in 0..dim {
+                        let diff = xi[d] - xj[d];
+                        let sq = diff * diff;
+                        sqdiff[(i * n + j) * dim + d] = sq;
+                        sqdiff[(j * n + i) * dim + d] = sq;
+                    }
+                }
             }
-            for j in 0..3 {
-                for d in 0..2 {
-                    let expect = (x[(i, d)] - x[(j, d)]) * (x[(i, d)] - x[(j, d)]);
-                    assert_eq!(ctx.sqdiff[(i * 3 + j) * 2 + d], expect);
-                    assert_eq!(ctx.sqdiff[(j * 3 + i) * 2 + d], expect);
+            TensorReference { n, dim, sqdiff }
+        }
+
+        fn stripe(&self, i: usize, j: usize) -> &[f64] {
+            let base = (i * self.n + j) * self.dim;
+            &self.sqdiff[base..base + self.dim]
+        }
+
+        fn gram(&self, inv_sq: &[f64], sf2: f64) -> Matrix {
+            let mut out = Matrix::zeros(self.n, self.n);
+            for i in 0..self.n {
+                out[(i, i)] = sf2;
+                for j in 0..i {
+                    let d2 = nnbo_linalg::fused_dot(self.stripe(i, j), inv_sq);
+                    let v = sf2 * (-0.5 * d2).exp();
+                    out[(i, j)] = v;
+                    out[(j, i)] = v;
+                }
+            }
+            out
+        }
+
+        /// The symmetric-strategy NLL and gradient, as `nll_into` computed
+        /// them from the tensor.
+        fn nll_and_grad(
+            &self,
+            y: &[f64],
+            hyper: &GpHyperParams,
+            jitter: f64,
+        ) -> Option<(f64, Vec<f64>)> {
+            let (n, dim) = (self.n, self.dim);
+            let inv_sq: Vec<f64> = hyper
+                .log_lengthscales
+                .iter()
+                .map(|l| {
+                    let ls = l.exp();
+                    1.0 / (ls * ls)
+                })
+                .collect();
+            let gram = self.gram(&inv_sq, hyper.signal_variance());
+            let mut k = gram.clone();
+            k.add_diag(hyper.noise_variance());
+            let (chol, _) = Cholesky::decompose_with_jitter(&k, jitter, 8).ok()?;
+            let residual: Vec<f64> = y.iter().map(|v| v - hyper.mean).collect();
+            let alpha = chol.solve_vec(&residual);
+            let fit_term: f64 = residual.iter().zip(alpha.iter()).map(|(r, a)| r * a).sum();
+            let nll =
+                0.5 * (fit_term + chol.log_det() + n as f64 * (2.0 * std::f64::consts::PI).ln());
+            if !nll.is_finite() {
+                return None;
+            }
+            let (mut k_inv, mut work) = (Matrix::zeros(n, n), Matrix::zeros(n, n));
+            chol.symmetric_inverse_into(&mut k_inv, &mut work);
+            let mut g_signal = 0.0;
+            let mut ls_grad = vec![0.0; dim];
+            for i in 0..n {
+                let ai = alpha[i];
+                let mut row_signal = 0.0;
+                for j in 0..i {
+                    let mg = (k_inv[(i, j)] - ai * alpha[j]) * gram[(i, j)];
+                    row_signal += mg;
+                    nnbo_linalg::add_scaled_product(&mut ls_grad, &inv_sq, self.stripe(i, j), mg);
+                }
+                let m_diag = k_inv[(i, i)] - ai * ai;
+                g_signal += 2.0 * (2.0 * row_signal + m_diag * gram[(i, i)]);
+            }
+            let mut g_noise = 0.0;
+            for i in 0..n {
+                g_noise += (k_inv[(i, i)] - alpha[i] * alpha[i]) * 2.0 * hyper.noise_variance();
+            }
+            let mut grad = vec![0.5 * g_signal];
+            grad.extend(ls_grad.iter().map(|v| 0.5 * (v * 2.0)));
+            grad.push(0.5 * g_noise);
+            grad.push(-alpha.iter().sum::<f64>());
+            grad.iter().all(|g| g.is_finite()).then_some((nll, grad))
+        }
+    }
+
+    /// Deterministic, irregular points in the unit cube.
+    fn points(n: usize, dim: usize) -> Matrix {
+        Matrix::from_vec(
+            n,
+            dim,
+            (0..n * dim)
+                .map(|k| ((k * 7919 + 13) % 1009) as f64 / 1009.0)
+                .collect(),
+        )
+    }
+
+    fn targets(n: usize) -> Vec<f64> {
+        (0..n)
+            .map(|i| (i as f64 * 0.7).sin() + 0.1 * i as f64 / (n as f64))
+            .collect()
+    }
+
+    fn hyper(dim: usize, log_noise: f64) -> GpHyperParams {
+        GpHyperParams {
+            log_signal: 0.2,
+            log_lengthscales: (0..dim).map(|d| -0.6 + 0.15 * (d % 7) as f64).collect(),
+            log_noise,
+            mean: 0.1,
+        }
+    }
+
+    fn bits(v: &[f64]) -> Vec<u64> {
+        v.iter().map(|x| x.to_bits()).collect()
+    }
+
+    /// The Gram matrix's lower triangle (with the diagonal), the NLL and the
+    /// gradient of `ctx` at a fixed point, as bit patterns.
+    fn fit_bits(ctx: &FitContext) -> (Vec<u64>, Option<(u64, Vec<u64>)>) {
+        let (n, dim) = (ctx.len(), ctx.dim());
+        let mut scratch = FitScratch::new(n, dim);
+        let nll = nll_and_grad_with(
+            ctx,
+            &targets(n),
+            &hyper(dim, -3.0),
+            1e-10,
+            &mut scratch,
+            InverseStrategy::Symmetric,
+        );
+        let lower: Vec<f64> = (0..n)
+            .flat_map(|i| scratch.gram.row(i)[..=i].to_vec())
+            .collect();
+        (
+            bits(&lower),
+            nll.map(|nll| (nll.to_bits(), bits(&scratch.grad))),
+        )
+    }
+
+    #[test]
+    fn pairwise_kernels_match_the_tensor_reference_bit_for_bit() {
+        for n in [1, 2, 7, 8, 9, 17, 100, 160] {
+            for dim in [1, 3, 4, 5, 8, 9, 36, 37] {
+                let x = points(n, dim);
+                let y = targets(n);
+                let h = hyper(dim, -3.0);
+                let reference = TensorReference::new(&x);
+                let ctx = FitContext::new(&x);
+                let mut scratch = FitScratch::new(n, dim);
+                let nll = nll_and_grad_with(
+                    &ctx,
+                    &y,
+                    &h,
+                    1e-10,
+                    &mut scratch,
+                    InverseStrategy::Symmetric,
+                )
+                .unwrap_or_else(|| panic!("N = {n}, D = {dim}: no likelihood"));
+                let (ref_nll, ref_grad) = reference.nll_and_grad(&y, &h, 1e-10).unwrap();
+                assert_eq!(nll.to_bits(), ref_nll.to_bits(), "NLL, N = {n}, D = {dim}");
+                assert_eq!(
+                    bits(&scratch.grad),
+                    bits(&ref_grad),
+                    "gradient, N = {n}, D = {dim}"
+                );
+                let ref_gram = reference.gram(&scratch.inv_sq, h.signal_variance());
+                for i in 0..n {
+                    assert_eq!(
+                        bits(&scratch.gram.row(i)[..=i]),
+                        bits(&ref_gram.row(i)[..=i]),
+                        "Gram row {i}, N = {n}, D = {dim}"
+                    );
                 }
             }
         }
     }
 
     #[test]
+    fn pairwise_kernels_match_the_tensor_reference_on_the_jitter_ladder() {
+        // Repeated rows and a tiny noise make `K + σn²I` singular to working
+        // precision, so the factorization climbs the jitter ladder.
+        let base = points(12, 5);
+        let rows: Vec<Vec<f64>> = (0..24).map(|i| base.row(i % 12).to_vec()).collect();
+        let x = Matrix::from_rows(&rows);
+        let y = targets(24);
+        let h = GpHyperParams {
+            log_signal: 1.5,
+            log_lengthscales: vec![2.0; 5],
+            log_noise: -30.0,
+            mean: 0.0,
+        };
+        let reference = TensorReference::new(&x);
+        let mut k = reference.gram(&[(-4.0f64).exp(); 5], h.signal_variance());
+        k.add_diag(h.noise_variance());
+        assert!(
+            Cholesky::decompose(&k).is_err(),
+            "the plain factorization must fail"
+        );
+        let mut scratch = FitScratch::new(24, 5);
+        let nll = nll_and_grad_with(
+            &FitContext::new(&x),
+            &y,
+            &h,
+            1e-10,
+            &mut scratch,
+            InverseStrategy::Symmetric,
+        );
+        let (ref_nll, ref_grad) = reference.nll_and_grad(&y, &h, 1e-10).unwrap();
+        assert_eq!(nll.unwrap().to_bits(), ref_nll.to_bits());
+        assert_eq!(bits(&scratch.grad), bits(&ref_grad));
+    }
+
+    #[test]
+    fn context_pairs_are_symmetric_with_sf2_diagonal() {
+        let x = Matrix::from_rows(&[vec![0.1, 0.9], vec![0.8, 0.4], vec![-0.5, 0.2]]);
+        let ctx = FitContext::new(&x);
+        assert_eq!(ctx.len(), 3);
+        assert_eq!(ctx.dim(), 2);
+        assert!(!ctx.is_empty());
+        let (inv_sq, sf2) = ([0.7, 1.9], 1.3);
+        let mut g = Matrix::zeros(1, 1);
+        ctx.gram_into(&inv_sq, sf2, &mut g);
+        for i in 0..3 {
+            assert_eq!(g[(i, i)], sf2, "zero self-distance gives sf2");
+            for j in 0..i {
+                // The pair taken the other way round gives the same entry.
+                let swapped: Vec<f64> = (0..2).map(|d| (x[(j, d)] - x[(i, d)]).powi(2)).collect();
+                let expect = sf2 * (-0.5 * nnbo_linalg::fused_dot(&swapped, &inv_sq)).exp();
+                assert_eq!(g[(i, j)].to_bits(), expect.to_bits(), "({i},{j})");
+            }
+        }
+        // Grown one point at a time, the context gives the same fit.
+        let mut grown = FitContext::new(&Matrix::from_rows(&[x.row(0).to_vec()]));
+        grown.append(x.row(1));
+        grown.append(x.row(2));
+        assert_eq!(fit_bits(&grown), fit_bits(&ctx));
+    }
+
+    #[test]
     fn incrementally_grown_context_is_bit_identical_to_full_rebuild() {
-        // Grow point by point across several capacity re-layouts and compare
-        // every stripe and the Gram matrix against a fresh build.
+        // Grow point by point and compare the Gram matrix, the NLL and the
+        // gradient against a fresh build at every size.
         let dim = 3;
         let rows: Vec<Vec<f64>> = (0..23)
             .map(|i| {
@@ -630,22 +820,12 @@ mod tests {
             })
             .collect();
         let mut grown = FitContext::new(&Matrix::from_rows(&rows[..1]));
-        for r in &rows[1..] {
+        for (k, r) in rows.iter().enumerate().skip(1) {
             grown.append(r);
+            let fresh = FitContext::new(&Matrix::from_rows(&rows[..=k]));
+            assert_eq!(grown.len(), fresh.len());
+            assert_eq!(fit_bits(&grown), fit_bits(&fresh), "{} points", k + 1);
         }
-        let fresh = FitContext::new(&Matrix::from_rows(&rows));
-        assert_eq!(grown.len(), fresh.len());
-        for i in 0..rows.len() {
-            for j in 0..rows.len() {
-                assert_eq!(grown.stripe(i, j), fresh.stripe(i, j), "stripe ({i},{j})");
-            }
-        }
-        let inv_sq = [0.9, 1.4, 0.3];
-        let mut g_grown = Matrix::zeros(1, 1);
-        let mut g_fresh = Matrix::zeros(1, 1);
-        grown.gram_into(&inv_sq, 1.3, &mut g_grown);
-        fresh.gram_into(&inv_sq, 1.3, &mut g_fresh);
-        assert_eq!(g_grown.as_slice(), g_fresh.as_slice());
     }
 
     #[test]
@@ -657,28 +837,19 @@ mod tests {
         // Extension: incremental path.
         let extended = Matrix::from_rows(&rows);
         assert!(ctx.update_to(&extended));
-        let fresh = FitContext::new(&extended);
         assert_eq!(ctx.len(), 6);
-        for i in 0..6 {
-            for j in 0..6 {
-                assert_eq!(ctx.stripe(i, j), fresh.stripe(i, j));
-            }
-        }
+        assert_eq!(fit_bits(&ctx), fit_bits(&FitContext::new(&extended)));
         // A changed prefix forces a rebuild.
         let mut altered_rows = rows.clone();
         altered_rows[0][0] += 0.5;
         let altered = Matrix::from_rows(&altered_rows);
         assert!(!ctx.update_to(&altered));
-        let rebuilt = FitContext::new(&altered);
-        for i in 0..6 {
-            for j in 0..6 {
-                assert_eq!(ctx.stripe(i, j), rebuilt.stripe(i, j));
-            }
-        }
+        assert_eq!(fit_bits(&ctx), fit_bits(&FitContext::new(&altered)));
         // Shrinking also rebuilds.
         let shorter = Matrix::from_rows(&rows[..3]);
         assert!(!ctx.update_to(&shorter));
         assert_eq!(ctx.len(), 3);
+        assert_eq!(fit_bits(&ctx), fit_bits(&FitContext::new(&shorter)));
     }
 
     #[test]
@@ -796,8 +967,9 @@ mod tests {
         let inv_sq: Vec<f64> = k.lengthscales().iter().map(|l| 1.0 / (l * l)).collect();
         let mut g = Matrix::zeros(1, 1);
         ctx.gram_into(&inv_sq, k.signal_variance(), &mut g);
+        // Only the lower triangle is built.
         for i in 0..x.nrows() {
-            for j in 0..x.nrows() {
+            for j in 0..=i {
                 let reference = k.eval(x.row(i), x.row(j));
                 assert!((g[(i, j)] - reference).abs() < 1e-12, "gram ({i},{j})");
             }

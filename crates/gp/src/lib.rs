@@ -36,16 +36,21 @@
 //!   past the evaluated likelihood of the standard initial point; then the
 //!   cold path runs as a fallback and the better fit is kept.
 //! * **Shared fit context** — every likelihood evaluation needs the pairwise
-//!   per-dimension squared differences of the training rows, which do not
-//!   depend on the hyper-parameters.  One refit computes that `N × N × D`
-//!   tensor ([`FitContext`]) once; each Adam iteration rebuilds the Gram
-//!   matrix by a weighted reduction over it and accumulates all lengthscale
-//!   gradients in one fused pass over `(K⁻¹ − ααᵀ) ∘ K`, into buffers
-//!   allocated once per output.  Across refits the tensor can grow
-//!   *incrementally*: a BO history is append-only, so
-//!   [`FitContext::update_to`] adds one `O(N·D)` row/column per new
-//!   observation instead of rebuilding (`GpModel::fit_multi_warm_cached`
-//!   exposes the cache slot; results are bit-identical either way).
+//!   per-dimension squared differences of the training rows.  Each Adam
+//!   iteration builds the lower triangle of the Gram matrix by one weighted
+//!   reduction per pair ([`nnbo_linalg::weighted_sq_dist_lower`]) and
+//!   accumulates all lengthscale gradients in one fused pass over
+//!   `(K⁻¹ − ααᵀ) ∘ K` ([`nnbo_linalg::add_scaled_sq_diffs`]), into buffers
+//!   allocated once per output.  Both kernels recompute the squared
+//!   differences in registers from the rows, which the [`FitContext`] holds
+//!   together with their `D × N` transpose — `O(N·D)` memory, shared by all
+//!   outputs, where an `N × N × D` difference tensor would be 7.4 MB at
+//!   `N = 160, D = 36`.  On the AVX-512F tier the two kernels run eight pairs
+//!   (Gram) or eight dimensions (trace) per register and give the same bits
+//!   as the other tiers.  A BO history is append-only, so
+//!   [`FitContext::update_to`] extends the context by `O(N·D)` per new
+//!   observation (`GpModel::fit_multi_warm_cached` exposes the cache slot;
+//!   results are bit-identical either way).
 //! * **Symmetric inverse** — the dominant per-iteration cost is the dense
 //!   `(K + σn²I)⁻¹` the gradient traces against.  It is computed
 //!   dpotri-style ([`nnbo_linalg::Cholesky::symmetric_inverse_into`]:

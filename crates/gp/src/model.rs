@@ -156,7 +156,7 @@ impl GpModel {
     }
 
     /// Fits one GP per target column over the *same* design matrix, sharing
-    /// one [`FitContext`] (pairwise squared-distance tensor) across all
+    /// one [`FitContext`] (the training rows and their transpose) across all
     /// outputs — the multi-output refit the constrained BO loop performs for
     /// the objective plus every constraint.
     ///
@@ -208,14 +208,13 @@ impl GpModel {
     /// [`GpModel::fit_multi_warm`] with a caller-held [`FitContext`] cache.
     ///
     /// A Bayesian-optimization loop grows its design matrix append-only, so
-    /// the `N × N × D` squared-distance tensor of refit `t+1` is the tensor
-    /// of refit `t` plus one row/column.  Passing the same `cache` slot
-    /// across refits lets the context grow incrementally
-    /// ([`FitContext::update_to`], `O(N·D)` per appended point) instead of
-    /// being rebuilt from scratch (`O(N²·D)`); an incrementally grown
-    /// context is bit-identical to a fresh one, so the fitted models do not
-    /// depend on the cache.  An empty slot (or a slot whose rows do not
-    /// prefix `xs`) is (re)built in place.
+    /// the context of refit `t+1` is the context of refit `t` plus one row.
+    /// Passing the same `cache` slot across refits lets the context be
+    /// extended in place ([`FitContext::update_to`], `O(N·D)`) rather than
+    /// rebuilt, which costs the same order since the context holds only the
+    /// rows and their transpose; an extended context equals a fresh one, so
+    /// the fitted models do not depend on the cache.  An empty slot (or a
+    /// slot whose rows do not prefix `xs`) is (re)built in place.
     ///
     /// # Errors
     ///

@@ -23,9 +23,49 @@ use crate::{LinalgError, Matrix};
 /// # Ok(())
 /// # }
 /// ```
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Serialize)]
 pub struct Cholesky {
     l: Matrix,
+}
+
+/// Checks what every method relies on: the stored factor is square.
+impl<'de> Deserialize<'de> for Cholesky {
+    fn from_value(value: &serde::Value) -> Result<Self, serde::DeError> {
+        let entries = value
+            .as_map()
+            .ok_or_else(|| serde::DeError::expected("map for struct Cholesky"))?;
+        let l: Matrix = serde::from_field(entries, "l", "Cholesky")?;
+        if !l.is_square() {
+            return Err(serde::DeError::new(format!(
+                "Cholesky factor is {}×{}, not square",
+                l.nrows(),
+                l.ncols()
+            )));
+        }
+        Ok(Cholesky { l })
+    }
+}
+
+/// Columns per panel of the blocked factorization.
+pub(crate) const PANEL: usize = 48;
+
+/// The factor's diagonal entry `√(a_jj − Σ_t l_jt²)` of pivot `j`, `row`
+/// holding row `j`'s entries in the panel's earlier columns, summed by
+/// [`crate::kernels::dot_unrolled`].  Every tier's panel step calls this.
+///
+/// # Errors
+///
+/// [`LinalgError::NotPositiveDefinite`] when the radicand is not strictly
+/// positive and finite.
+pub(crate) fn panel_pivot(diag: f64, row: &[f64], j: usize) -> Result<f64, LinalgError> {
+    let sum = diag - crate::kernels::dot_unrolled(row, row);
+    if sum <= 0.0 || !sum.is_finite() {
+        return Err(LinalgError::NotPositiveDefinite {
+            pivot: j,
+            value: sum,
+        });
+    }
+    Ok(sum.sqrt())
 }
 
 /// Direction of a batched triangular sweep.
@@ -69,44 +109,38 @@ impl Cholesky {
     /// Blocked right-looking in-place factorization of the lower triangle of
     /// `l`.
     ///
-    /// For each `PANEL`-wide panel the small diagonal block is factored
-    /// scalar-style, the sub-panel is solved against it, and the (dominant)
-    /// symmetric trailing update runs as a blocked rank-`PANEL` product over
-    /// contiguous panel rows — multi-threaded for large trailing blocks.
+    /// Each `PANEL`-wide panel is factored by one left-looking sweep per
+    /// column over every row below the diagonal (the diagonal block and the
+    /// sub-panel together), and the (dominant) symmetric trailing update runs
+    /// as a blocked rank-`PANEL` product over contiguous panel rows —
+    /// multi-threaded for large trailing blocks.
     fn factor_in_place(l: &mut Matrix) -> Result<(), LinalgError> {
-        const PANEL: usize = 48;
         let n = l.nrows();
+        let direct = crate::dispatch::avx512_active();
+        // Scratch of the AVX-512F panel kernel and of the trailing update,
+        // allocated once per factorization.
+        let mut columns = Vec::new();
+        let mut panel = Vec::new();
         let mut kb = 0;
         while kb < n {
             let kend = (kb + PANEL).min(n);
-            // 1. Factor the diagonal block (contributions of columns < kb are
-            //    already subtracted by earlier trailing updates).
-            for i in kb..kend {
-                for j in kb..=i {
-                    let sum = l[(i, j)]
-                        - crate::kernels::dot_unrolled(&l.row(i)[kb..j], &l.row(j)[kb..j]);
-                    if i == j {
-                        if sum <= 0.0 || !sum.is_finite() {
-                            return Err(LinalgError::NotPositiveDefinite {
-                                pivot: i,
-                                value: sum,
-                            });
-                        }
-                        l[(i, i)] = sum.sqrt();
-                    } else {
-                        l[(i, j)] = sum / l[(j, j)];
+            // 1. Factor the panel (contributions of columns < kb are already
+            //    subtracted by earlier trailing updates): for each column j,
+            //    the pivot, then L[i][j] for every row i > j.
+            if direct {
+                crate::packed::factor_panel(l.as_mut_slice(), n, kb, kend, &mut columns)?;
+            } else {
+                for j in kb..kend {
+                    let pivot = panel_pivot(l[(j, j)], &l.row(j)[kb..j], j)?;
+                    l[(j, j)] = pivot;
+                    for i in j + 1..n {
+                        let sum = l[(i, j)]
+                            - crate::kernels::dot_unrolled(&l.row(i)[kb..j], &l.row(j)[kb..j]);
+                        l[(i, j)] = sum / pivot;
                     }
                 }
             }
-            // 2. Solve the sub-panel: L21 · L11ᵀ = A21.
-            for i in kend..n {
-                for j in kb..kend {
-                    let sum = l[(i, j)]
-                        - crate::kernels::dot_unrolled(&l.row(i)[kb..j], &l.row(j)[kb..j]);
-                    l[(i, j)] = sum / l[(j, j)];
-                }
-            }
-            // 3. Trailing update: A22 -= L21 · L21ᵀ (lower triangle only).
+            // 2. Trailing update: A22 -= L21 · L21ᵀ (lower triangle only).
             //    The panel is copied into a contiguous scratch buffer so the
             //    row bands below can be updated on independent threads while
             //    sharing read access to it.  On AVX2 hardware the update runs
@@ -114,7 +148,8 @@ impl Cholesky {
             if kend < n {
                 let width = kend - kb;
                 let trailing = n - kend;
-                let mut panel = vec![0.0; trailing * width];
+                panel.clear();
+                panel.resize(trailing * width, 0.0);
                 for (t, chunk) in panel.chunks_exact_mut(width).enumerate() {
                     chunk.copy_from_slice(&l.row(kend + t)[kb..kend]);
                 }
@@ -486,8 +521,11 @@ impl Cholesky {
     /// Writes the lower-triangular inverse `W = L⁻¹` into `w` (upper triangle
     /// zeroed).  Column `j` of `W` is zero above the diagonal, so the forward
     /// sweep for a block of columns `[jb, jb+nb)` only runs over rows
-    /// `i ≥ jb` — `n³/6` multiplications in total, on the same dispatched
-    /// row-axpy kernel as the batched solves.
+    /// `i ≥ jb` — `n³/6` multiplications in total.  On the AVX-512F tier each
+    /// row of a block accumulates in registers
+    /// ([`crate::packed::triangular_inverse_block`]); other tiers run the
+    /// dispatched row-axpy kernel of the batched solves.  Both apply the same
+    /// fused update per element, in the same order.
     fn triangular_inverse_into(&self, w: &mut Matrix) {
         let n = self.dim();
         if w.shape() != (n, n) {
@@ -496,6 +534,7 @@ impl Cholesky {
             w.as_mut_slice().fill(0.0);
         }
         const NB: usize = 64;
+        let direct = crate::dispatch::avx512_active();
         let data = w.as_mut_slice();
         let mut jb = 0;
         while jb < n {
@@ -503,20 +542,24 @@ impl Cholesky {
             for c in 0..nb {
                 data[(jb + c) * n + jb + c] = 1.0;
             }
-            for i in jb..n {
-                let (head, tail) = data.split_at_mut(i * n);
-                let wi = &mut tail[jb..jb + nb];
-                for k in jb..i {
-                    let lik = self.l[(i, k)];
-                    if lik == 0.0 {
-                        continue;
+            if direct {
+                crate::packed::triangular_inverse_block(self.l.as_slice(), n, jb, nb, data);
+            } else {
+                for i in jb..n {
+                    let (head, tail) = data.split_at_mut(i * n);
+                    let wi = &mut tail[jb..jb + nb];
+                    for k in jb..i {
+                        let lik = self.l[(i, k)];
+                        if lik == 0.0 {
+                            continue;
+                        }
+                        let wk = &head[k * n + jb..k * n + jb + nb];
+                        crate::packed::sweep_axpy(lik, wk, wi);
                     }
-                    let wk = &head[k * n + jb..k * n + jb + nb];
-                    crate::packed::sweep_axpy(lik, wk, wi);
-                }
-                let lii = self.l[(i, i)];
-                for o in wi.iter_mut() {
-                    *o /= lii;
+                    let lii = self.l[(i, i)];
+                    for o in wi.iter_mut() {
+                        *o /= lii;
+                    }
                 }
             }
             jb += nb;
@@ -765,6 +808,258 @@ impl Cholesky {
 mod tests {
     use super::*;
     use crate::Lu;
+
+    /// The row-ordered panel factorization the column sweep replaced: per
+    /// panel, the diagonal block row by row, then the sub-panel row by row,
+    /// then the same trailing update.
+    fn factor_reference(a: &Matrix) -> Result<Matrix, LinalgError> {
+        let n = a.nrows();
+        let mut l = Matrix::zeros(n, n);
+        for i in 0..n {
+            l.row_mut(i)[..=i].copy_from_slice(&a.row(i)[..=i]);
+        }
+        let mut kb = 0;
+        while kb < n {
+            let kend = (kb + PANEL).min(n);
+            for i in kb..kend {
+                for j in kb..=i {
+                    let sum = l[(i, j)]
+                        - crate::kernels::dot_unrolled(&l.row(i)[kb..j], &l.row(j)[kb..j]);
+                    if i == j {
+                        if sum <= 0.0 || !sum.is_finite() {
+                            return Err(LinalgError::NotPositiveDefinite {
+                                pivot: i,
+                                value: sum,
+                            });
+                        }
+                        l[(i, i)] = sum.sqrt();
+                    } else {
+                        l[(i, j)] = sum / l[(j, j)];
+                    }
+                }
+            }
+            for i in kend..n {
+                for j in kb..kend {
+                    let sum = l[(i, j)]
+                        - crate::kernels::dot_unrolled(&l.row(i)[kb..j], &l.row(j)[kb..j]);
+                    l[(i, j)] = sum / l[(j, j)];
+                }
+            }
+            if kend < n {
+                let width = kend - kb;
+                let trailing = n - kend;
+                let mut panel = vec![0.0; trailing * width];
+                for (t, chunk) in panel.chunks_exact_mut(width).enumerate() {
+                    chunk.copy_from_slice(&l.row(kend + t)[kb..kend]);
+                }
+                let tail = &mut l.as_mut_slice()[kend * n..];
+                if crate::dispatch::simd_active() {
+                    crate::packed::syrk_lower(
+                        crate::packed::Op::rows(&panel, width),
+                        trailing,
+                        width,
+                        tail,
+                        n,
+                        kend,
+                        true,
+                    );
+                } else {
+                    for (t, row) in tail.chunks_exact_mut(n).enumerate() {
+                        let pi = &panel[t * width..(t + 1) * width];
+                        crate::kernels::syrk_row_update(
+                            pi,
+                            &panel,
+                            width,
+                            &mut row[kend..kend + t + 1],
+                        );
+                    }
+                }
+            }
+            kb = kend;
+        }
+        Ok(l)
+    }
+
+    /// The triangular inverse as one `sweep_axpy` per `(i, k)`, the form the
+    /// register-blocked kernel replaced.
+    fn triangular_inverse_reference(l: &Matrix) -> Matrix {
+        let n = l.nrows();
+        let mut w = Matrix::zeros(n, n);
+        let data = w.as_mut_slice();
+        let mut jb = 0;
+        while jb < n {
+            let nb = 64.min(n - jb);
+            for c in 0..nb {
+                data[(jb + c) * n + jb + c] = 1.0;
+            }
+            for i in jb..n {
+                let (head, tail) = data.split_at_mut(i * n);
+                let wi = &mut tail[jb..jb + nb];
+                for k in jb..i {
+                    let lik = l[(i, k)];
+                    if lik == 0.0 {
+                        continue;
+                    }
+                    crate::packed::sweep_axpy(lik, &head[k * n + jb..k * n + jb + nb], wi);
+                }
+                for o in wi.iter_mut() {
+                    *o /= l[(i, i)];
+                }
+            }
+            jb += nb;
+        }
+        w
+    }
+
+    fn same_bits(a: &Matrix, b: &Matrix) -> bool {
+        a.shape() == b.shape()
+            && a.as_slice()
+                .iter()
+                .zip(b.as_slice())
+                .all(|(x, y)| x.to_bits() == y.to_bits())
+    }
+
+    /// Checks the factor (or the error) and the triangular inverse of `a`
+    /// against the references, bit for bit.
+    fn assert_matches_references(a: &Matrix, what: &str) {
+        match (Cholesky::decompose(a), factor_reference(a)) {
+            (Ok(c), Ok(l)) => {
+                assert!(same_bits(c.factor(), &l), "{what}: factor");
+                let mut w = Matrix::zeros(1, 1);
+                c.triangular_inverse_into(&mut w);
+                assert!(
+                    same_bits(&w, &triangular_inverse_reference(&l)),
+                    "{what}: inverse"
+                );
+            }
+            (
+                Err(LinalgError::NotPositiveDefinite { pivot, value }),
+                Err(LinalgError::NotPositiveDefinite {
+                    pivot: ref_pivot,
+                    value: ref_value,
+                }),
+            ) => {
+                assert_eq!(pivot, ref_pivot, "{what}: failing pivot");
+                assert_eq!(value.to_bits(), ref_value.to_bits(), "{what}: pivot value");
+            }
+            (got, reference) => panic!("{what}: {got:?} vs {:?}", reference.map(|_| ())),
+        }
+    }
+
+    /// An irregular symmetric positive-definite `n × n` matrix.
+    fn spd(n: usize) -> Matrix {
+        let b = Matrix::from_vec(
+            n,
+            n,
+            (0..n * n)
+                .map(|k| ((k * 7919 + 17) % 1013) as f64 / 1013.0 - 0.5)
+                .collect(),
+        );
+        let mut a = b.matmul(&b.transpose());
+        a.add_diag(0.1 * n as f64);
+        a
+    }
+
+    #[test]
+    fn column_sweep_and_blocked_inverse_match_the_references_bit_for_bit() {
+        for n in (1..=64).chain([100, 160, 255, 256]) {
+            assert_matches_references(&spd(n), &format!("n = {n}"));
+        }
+    }
+
+    #[test]
+    fn column_sweep_matches_the_reference_on_the_jitter_ladder() {
+        // A squared-exponential Gram matrix over repeated points is singular:
+        // the plain factorization fails and the ladder's rungs factor it.
+        for n in [20, 70, 130] {
+            let x: Vec<f64> = (0..n).map(|i| ((i % 9) as f64 * 0.37).sin()).collect();
+            let mut k = Matrix::zeros(n, n);
+            for i in 0..n {
+                for j in 0..n {
+                    k[(i, j)] = (-0.5 * (x[i] - x[j]).powi(2)).exp();
+                }
+            }
+            assert!(
+                Cholesky::decompose(&k).is_err(),
+                "n = {n}: must need jitter"
+            );
+            let mut jitter = Cholesky::RECOVERY_JITTER_INITIAL;
+            assert_matches_references(&k, &format!("n = {n}, no jitter"));
+            for rung in 0..Cholesky::RECOVERY_JITTER_ATTEMPTS {
+                let mut kj = k.clone();
+                kj.add_diag(jitter);
+                assert_matches_references(&kj, &format!("n = {n}, rung {rung}"));
+                jitter *= 10.0;
+            }
+        }
+    }
+
+    #[test]
+    fn column_sweep_reports_the_same_failing_pivot_and_value() {
+        // Indefinite in the second panel, and with a NaN pivot.
+        let mut a = spd(100);
+        a[(70, 70)] = -50.0;
+        assert!(matches!(
+            Cholesky::decompose(&a),
+            Err(LinalgError::NotPositiveDefinite { pivot: 70, .. })
+        ));
+        assert_matches_references(&a, "indefinite pivot 70");
+        let mut b = spd(60);
+        b[(30, 5)] = f64::NAN;
+        assert_matches_references(&b, "NaN entry");
+    }
+
+    #[test]
+    fn blocked_inverse_skips_exact_zeros_like_the_reference() {
+        // A factor with exact zeros (±0.0) below the diagonal, across two
+        // column blocks.  In the second variant a subnormal pivot makes
+        // `W[3][3] = +∞`, and column 3 below it is zero: only the skip keeps
+        // `0 · ∞ = NaN` out of the rows below.
+        for n in [9, 70, 130] {
+            for overflow in [false, true] {
+                let mut l = Matrix::zeros(n, n);
+                for i in 0..n {
+                    for j in 0..i {
+                        l[(i, j)] = match (i * 31 + j * 7) % 5 {
+                            0 => 0.0,
+                            1 => -0.0,
+                            k => (k as f64 - 2.5) * 0.1,
+                        };
+                    }
+                    l[(i, i)] = 1.0 + (i % 3) as f64;
+                }
+                if overflow {
+                    l[(3, 3)] = 1e-320;
+                    for i in 4..n {
+                        l[(i, 3)] = 0.0;
+                    }
+                }
+                let chol = Cholesky { l: l.clone() };
+                let mut w = Matrix::zeros(1, 1);
+                chol.triangular_inverse_into(&mut w);
+                assert!(
+                    same_bits(&w, &triangular_inverse_reference(&l)),
+                    "n = {n}, overflow {overflow}"
+                );
+                if overflow {
+                    assert_eq!(w[(3, 3)], f64::INFINITY);
+                    assert!((4..n).all(|i| w[(i, 3)] == 0.0), "n = {n}");
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn deserialized_factor_must_be_square() {
+        let good = Cholesky::decompose(&spd_example()).unwrap();
+        let value = serde::Serialize::to_value(&good);
+        assert_eq!(Cholesky::from_value(&value).unwrap(), good);
+        let wide = Cholesky {
+            l: Matrix::zeros(2, 3),
+        };
+        let err = Cholesky::from_value(&serde::Serialize::to_value(&wide)).unwrap_err();
+        assert!(err.to_string().contains("not square"), "{err}");
+    }
 
     fn spd_example() -> Matrix {
         Matrix::from_rows(&[

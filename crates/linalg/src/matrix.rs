@@ -22,11 +22,31 @@ use crate::LinalgError;
 /// let c = a.matmul(&b);
 /// assert_eq!(c[(1, 0)], 3.0);
 /// ```
-#[derive(Debug, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, PartialEq, Serialize)]
 pub struct Matrix {
     rows: usize,
     cols: usize,
     data: Vec<f64>,
+}
+
+/// Checks the invariant every kernel relies on: `data` holds exactly
+/// `rows × cols` values.
+impl<'de> Deserialize<'de> for Matrix {
+    fn from_value(value: &serde::Value) -> Result<Self, serde::DeError> {
+        let entries = value
+            .as_map()
+            .ok_or_else(|| serde::DeError::expected("map for struct Matrix"))?;
+        let rows: usize = serde::from_field(entries, "rows", "Matrix")?;
+        let cols: usize = serde::from_field(entries, "cols", "Matrix")?;
+        let data: Vec<f64> = serde::from_field(entries, "data", "Matrix")?;
+        if rows.checked_mul(cols) != Some(data.len()) {
+            return Err(serde::DeError::new(format!(
+                "Matrix of shape {rows}×{cols} holds {} values",
+                data.len()
+            )));
+        }
+        Ok(Matrix { rows, cols, data })
+    }
 }
 
 impl Clone for Matrix {

@@ -1,5 +1,5 @@
-//! Packed-panel SIMD micro-kernel engine (AVX2 + FMA, plus an AVX-512F
-//! direct GEMM driver).
+//! Packed-panel SIMD micro-kernel engine (AVX2 + FMA, plus AVX-512F direct
+//! kernels).
 //!
 //! The blocked scalar kernels in [`crate::kernels`] are latency-limited: their
 //! 4-wide register tiles keep a few scalar FMA chains in flight but leave the
@@ -28,6 +28,15 @@
 //!   its [`Op`] view, and each output element is stored once.  Small products
 //!   (the neural-GP training epoch's `N ≤ 256`) spend most of the packed
 //!   driver's time in those two copies, not in the FMAs.
+//! * **Direct factorization and likelihood kernels (AVX-512F)** — the
+//!   Cholesky panel ([`factor_panel`]: one column sweep, 8 rows per
+//!   register), the triangular inverse ([`triangular_inverse_block`]: each
+//!   row's 64-column block held in registers across `k`), and the GP
+//!   likelihood's Gram ([`weighted_sq_dist_lower`]: 8 pairs per register) and
+//!   trace ([`add_scaled_sq_diffs`]: the accumulators held in registers across
+//!   pairs).  Each replays, lane by lane, the per-element operations of the
+//!   scalar or AVX2 kernel the other tiers run in the same loop order, so
+//!   every tier gives the same bits.
 //!
 //! Arithmetic note: per output element the accumulation order is fixed by the
 //! panel geometry alone, so results are identical across thread counts; they
@@ -396,6 +405,569 @@ unsafe fn direct_tile<const R: usize>(
                 acc = a[a_off + ii * rs + kk * ks].mul_add(bp[kk * NR + jj], acc);
             }
             out[ii * n + jj] = acc + 0.0;
+        }
+    }
+}
+
+// ---------------------------------------------------------------------------
+// AVX-512F direct kernels of the small dense factorizations and of the GP
+// likelihood: the Cholesky panel, the triangular inverse, the ARD Gram and
+// the ARD trace.  Each replays, lane by lane, the per-element operations of
+// the kernel the other tiers call, so every tier gives the same bits.
+// ---------------------------------------------------------------------------
+
+/// `u8::MAX` with only the low `live` bits set (`1 ≤ live ≤ 8`): the lane mask
+/// of a ragged vector.
+#[inline(always)]
+fn lane_mask(live: usize) -> u8 {
+    debug_assert!((1..=DR).contains(&live));
+    u8::MAX >> (DR - live)
+}
+
+/// Factors columns `kb..kend` of the row-major `n × n` lower triangle in `l`
+/// in place: the AVX-512F tier of [`crate::Cholesky`]'s panel step.
+///
+/// The panel is copied into `columns` column by column (each column of rows
+/// `kb..n` contiguous, at a stride padded by one vector), and swept left to
+/// right: the pivot of column `j` first, through the same
+/// [`crate::cholesky::panel_pivot`] as the other tiers, then every row below
+/// it, 8 rows per 512-bit register.  Each lane keeps
+/// [`crate::kernels::dot_unrolled`]'s four partial sums (a multiply, then an
+/// add), so each entry equals the other tiers' `(a_ij − dot) / l_jj`.
+/// `columns` is caller-owned so one factorization allocates it once.
+///
+/// # Errors
+///
+/// [`crate::LinalgError::NotPositiveDefinite`] for the first pivot that is
+/// not strictly positive and finite; `l` is partly overwritten then.
+///
+/// # Panics
+///
+/// Panics if the CPU lacks AVX-512F, `l` does not hold `n × n` values, or the
+/// panel is empty, wider than [`crate::cholesky::PANEL`] or not inside `0..n`.
+pub(crate) fn factor_panel(
+    l: &mut [f64],
+    n: usize,
+    kb: usize,
+    kend: usize,
+    columns: &mut Vec<f64>,
+) -> Result<(), crate::LinalgError> {
+    use crate::cholesky::{panel_pivot, PANEL};
+    assert!(
+        crate::dispatch::avx512_supported(),
+        "panel kernel needs AVX-512F"
+    );
+    assert_eq!(Some(l.len()), n.checked_mul(n), "factor is not {n}×{n}");
+    assert!(
+        kb < kend && kend <= n && kend - kb <= PANEL,
+        "panel {kb}..{kend} outside 0..{n}"
+    );
+    let rows = n - kb;
+    let width = kend - kb;
+    // One vector of padding under every column, so the last 8-row group of
+    // a column can be loaded and stored whole.
+    let stride = rows + DR;
+    columns.clear();
+    columns.resize(width * stride, 0.0);
+    for c in 0..width {
+        for r in c..rows {
+            columns[c * stride + r] = l[(kb + r) * n + kb + c];
+        }
+    }
+    let mut lj = [0.0_f64; PANEL];
+    for c in 0..width {
+        // Row `kb + c` of the panel so far, the multiplier of every dot.
+        for (t, v) in lj[..c].iter_mut().enumerate() {
+            *v = columns[t * stride + c];
+        }
+        let pivot = panel_pivot(columns[c * stride + c], &lj[..c], kb + c)?;
+        columns[c * stride + c] = pivot;
+        // SAFETY: the CPU has AVX-512F (asserted above).  `columns` holds
+        // `width · stride` values and `c < width`, so columns `0..=c` lie in
+        // it.  The sweep touches rows `c + 1 ..` up to the last 8-row group
+        // starting below `rows`, so below `rows + DR = stride`: every access
+        // stays inside its own column.  `lj[..c]` holds the `c` multipliers.
+        unsafe { panel_column(columns, stride, c, rows, &lj[..c], pivot) };
+    }
+    for c in 0..width {
+        for r in c..rows {
+            l[(kb + r) * n + kb + c] = columns[c * stride + r];
+        }
+    }
+    Ok(())
+}
+
+/// Rows `c + 1 .. rows` of column `c` of a column-major panel:
+/// `col_c[r] = (col_c[r] − Σ_{t<c} col_t[r] · lj[t]) / pivot`, the sum in
+/// [`crate::kernels::dot_unrolled`]'s association.  Up to four 8-row groups
+/// run at once, and the last group may reach into the padding.
+///
+/// # Safety
+///
+/// The CPU must support AVX-512F; `columns` must hold at least
+/// `(c + 1) · stride` values with `rows + DR ≤ stride`; `lj` must hold `c`
+/// values.
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "avx512f")]
+unsafe fn panel_column(
+    columns: &mut [f64],
+    stride: usize,
+    c: usize,
+    rows: usize,
+    lj: &[f64],
+    pivot: f64,
+) {
+    debug_assert!(rows + DR <= stride && (c + 1) * stride <= columns.len() && lj.len() == c);
+    let base = columns.as_mut_ptr();
+    let mut r = c + 1;
+    while r < rows {
+        let groups = (rows - r).div_ceil(DR).min(4);
+        match groups {
+            4 => panel_rows::<4>(base, stride, c, r, lj, pivot),
+            3 => panel_rows::<3>(base, stride, c, r, lj, pivot),
+            2 => panel_rows::<2>(base, stride, c, r, lj, pivot),
+            _ => panel_rows::<1>(base, stride, c, r, lj, pivot),
+        }
+        r += groups * DR;
+    }
+}
+
+/// `G` groups of 8 rows of [`panel_column`], starting at row `r`.
+///
+/// # Safety
+///
+/// As for [`panel_column`], with rows `r .. r + 8G` inside every column.
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "avx512f")]
+unsafe fn panel_rows<const G: usize>(
+    base: *mut f64,
+    stride: usize,
+    c: usize,
+    r: usize,
+    lj: &[f64],
+    pivot: f64,
+) {
+    use core::arch::x86_64::*;
+    let mut acc = [[_mm512_setzero_pd(); 4]; G];
+    let whole = c - c % 4;
+    let mut t = 0;
+    while t < whole {
+        for u in 0..4 {
+            let b = _mm512_set1_pd(lj[t + u]);
+            let col = base.add((t + u) * stride + r);
+            for (g, a) in acc.iter_mut().enumerate() {
+                let v = _mm512_loadu_pd(col.add(g * DR));
+                a[u] = _mm512_add_pd(a[u], _mm512_mul_pd(v, b));
+            }
+        }
+        t += 4;
+    }
+    while t < c {
+        let b = _mm512_set1_pd(lj[t]);
+        let col = base.add(t * stride + r);
+        for (g, a) in acc.iter_mut().enumerate() {
+            let v = _mm512_loadu_pd(col.add(g * DR));
+            a[0] = _mm512_add_pd(a[0], _mm512_mul_pd(v, b));
+        }
+        t += 1;
+    }
+    let pv = _mm512_set1_pd(pivot);
+    let out = base.add(c * stride + r);
+    for (g, a) in acc.iter().enumerate() {
+        let dot = _mm512_add_pd(_mm512_add_pd(a[0], a[1]), _mm512_add_pd(a[2], a[3]));
+        let p = out.add(g * DR);
+        _mm512_storeu_pd(p, _mm512_div_pd(_mm512_sub_pd(_mm512_loadu_pd(p), dot), pv));
+    }
+}
+
+#[cfg(not(target_arch = "x86_64"))]
+unsafe fn panel_column(
+    columns: &mut [f64],
+    stride: usize,
+    c: usize,
+    rows: usize,
+    lj: &[f64],
+    pivot: f64,
+) {
+    // Unreachable in practice: the dispatch point never selects the
+    // AVX-512F tier off x86_64.  Kept as a correct portable body so the
+    // crate still compiles everywhere.
+    let (head, tail) = columns.split_at_mut(c * stride);
+    for r in c + 1..rows {
+        let row: Vec<f64> = (0..c).map(|t| head[t * stride + r]).collect();
+        tail[r] = (tail[r] - crate::kernels::dot_unrolled(&row, lj)) / pivot;
+    }
+}
+
+/// Columns `jb .. jb + nb` of the lower-triangular inverse `W = L⁻¹`, in
+/// place in the row-major `n × n` buffer `w` (which holds the block's unit
+/// diagonal and zeros elsewhere in it): the AVX-512F tier of
+/// [`crate::Cholesky`]'s triangular inverse.
+///
+/// Row `i` of the block accumulates in up to eight 512-bit registers across
+/// `k` and is stored once.  Per element the operations are those of
+/// [`sweep_axpy`]'s FMA path: one `fnmadd` per `k` in ascending order,
+/// skipping `l_ik == 0.0`, then a division by `l_ii`.
+///
+/// # Panics
+///
+/// Panics if the CPU lacks AVX-512F, `l` or `w` does not hold `n × n` values,
+/// or the block is empty, wider than 64 or not inside `0..n`.
+pub(crate) fn triangular_inverse_block(l: &[f64], n: usize, jb: usize, nb: usize, w: &mut [f64]) {
+    assert!(
+        crate::dispatch::avx512_supported(),
+        "inverse kernel needs AVX-512F"
+    );
+    assert_eq!(Some(l.len()), n.checked_mul(n), "factor is not {n}×{n}");
+    assert_eq!(w.len(), l.len(), "inverse buffer is not {n}×{n}");
+    assert!(
+        (1..=8 * DR).contains(&nb) && jb + nb <= n,
+        "column block {jb}..{} outside 0..{n}",
+        jb + nb
+    );
+    // SAFETY: the CPU has AVX-512F, `l` and `w` hold `n × n` values and the
+    // block's columns `jb .. jb + nb` lie inside a row (all asserted above).
+    // The kernel reads row `i ≥ jb` of `l` up to column `i` and rows
+    // `jb ..= i` of `w`, all below `n`, and masks the lanes past `nb`.
+    unsafe {
+        match nb.div_ceil(DR) {
+            8 => inverse_block::<8>(l, n, jb, nb, w),
+            7 => inverse_block::<7>(l, n, jb, nb, w),
+            6 => inverse_block::<6>(l, n, jb, nb, w),
+            5 => inverse_block::<5>(l, n, jb, nb, w),
+            4 => inverse_block::<4>(l, n, jb, nb, w),
+            3 => inverse_block::<3>(l, n, jb, nb, w),
+            2 => inverse_block::<2>(l, n, jb, nb, w),
+            _ => inverse_block::<1>(l, n, jb, nb, w),
+        }
+    }
+}
+
+/// [`triangular_inverse_block`] with the block held in `CH` registers.
+///
+/// # Safety
+///
+/// The CPU must support AVX-512F; `l` and `w` must hold `n × n` values;
+/// `8(CH − 1) < nb ≤ 8·CH` and `jb + nb ≤ n`.
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "avx512f")]
+unsafe fn inverse_block<const CH: usize>(l: &[f64], n: usize, jb: usize, nb: usize, w: &mut [f64]) {
+    use core::arch::x86_64::*;
+    debug_assert!(l.len() == n * n && w.len() == n * n && jb + nb <= n);
+    debug_assert!(nb > DR * (CH - 1) && nb <= DR * CH);
+    let last = lane_mask(nb - DR * (CH - 1));
+    let mask = |q: usize| if q + 1 == CH { last } else { u8::MAX };
+    let w_ptr = w.as_mut_ptr();
+    for i in jb..n {
+        let wi = w_ptr.add(i * n + jb);
+        let mut acc = [_mm512_setzero_pd(); CH];
+        for (q, a) in acc.iter_mut().enumerate() {
+            *a = _mm512_maskz_loadu_pd(mask(q), wi.add(q * DR));
+        }
+        let li = l.as_ptr().add(i * n);
+        for k in jb..i {
+            let lik = *li.add(k);
+            if lik == 0.0 {
+                continue;
+            }
+            let lv = _mm512_set1_pd(lik);
+            let wk = w_ptr.add(k * n + jb);
+            for (q, a) in acc.iter_mut().enumerate() {
+                *a = _mm512_fnmadd_pd(lv, _mm512_maskz_loadu_pd(mask(q), wk.add(q * DR)), *a);
+            }
+        }
+        let lii = _mm512_set1_pd(*li.add(i));
+        for (q, a) in acc.iter().enumerate() {
+            _mm512_mask_storeu_pd(wi.add(q * DR), mask(q), _mm512_div_pd(*a, lii));
+        }
+    }
+}
+
+#[cfg(not(target_arch = "x86_64"))]
+unsafe fn inverse_block<const CH: usize>(l: &[f64], n: usize, jb: usize, nb: usize, w: &mut [f64]) {
+    // Unreachable in practice (see `direct_tile`).
+    for i in jb..n {
+        let (head, tail) = w.split_at_mut(i * n);
+        let wi = &mut tail[jb..jb + nb];
+        for k in jb..i {
+            let lik = l[i * n + k];
+            if lik == 0.0 {
+                continue;
+            }
+            for (o, v) in wi.iter_mut().zip(&head[k * n + jb..k * n + jb + nb]) {
+                *o = (-lik).mul_add(*v, *o);
+            }
+        }
+        for o in wi.iter_mut() {
+            *o /= l[i * n + i];
+        }
+    }
+}
+
+/// `out[i·n + j] = Σ_d w_d · (x_i,d − x_j,d)²` for every `j < i`, in
+/// [`fused_dot`]'s association, from the row-major `n × dim` points `x` and
+/// their `dim × n` transpose `xt`.  Only the strict lower triangle of the
+/// row-major `n × n` `out` is written.
+///
+/// The AVX-512F tier runs 8 pairs per register, lanes over `j`: four
+/// accumulators split `d` by `d mod 4` as [`fused_dot`]'s four lanes do,
+/// are summed `(l0 + l1) + (l2 + l3)`, and the tail dimensions follow as
+/// FMAs.  Other tiers write each pair's squared differences into a
+/// `dim`-length buffer and call [`fused_dot`] on it.
+///
+/// # Panics
+///
+/// Panics if `x`, `xt`, `w` or `out` does not hold `n × dim`, `dim × n`,
+/// `dim` or `n × n` values.
+pub(crate) fn weighted_sq_dist_lower(
+    x: &[f64],
+    xt: &[f64],
+    n: usize,
+    dim: usize,
+    w: &[f64],
+    out: &mut [f64],
+) {
+    let points = n.checked_mul(dim);
+    assert_eq!(Some(x.len()), points, "points are not {n}×{dim}");
+    assert_eq!(Some(xt.len()), points, "transpose is not {dim}×{n}");
+    assert_eq!(w.len(), dim, "weights are not {dim} long");
+    assert_eq!(Some(out.len()), n.checked_mul(n), "output is not {n}×{n}");
+    if crate::dispatch::avx512_active() {
+        // SAFETY: avx512_active() implies AVX-512F.  The lengths of `x`,
+        // `xt`, `w` and `out` were asserted above; the kernel reads rows
+        // `i < n` of `x`, columns `j < i` of each row of `xt` (masking the
+        // lanes at or past `i`) and writes only `out[i·n + j]`, `j < i`.
+        unsafe { weighted_sq_dist_lower_avx512(x, xt, n, dim, w, out) };
+        return;
+    }
+    let mut stripe = vec![0.0; dim];
+    for i in 1..n {
+        let xi = &x[i * dim..(i + 1) * dim];
+        for j in 0..i {
+            let xj = &x[j * dim..(j + 1) * dim];
+            for ((s, &a), &b) in stripe.iter_mut().zip(xi).zip(xj) {
+                let diff = a - b;
+                *s = diff * diff;
+            }
+            out[i * n + j] = fused_dot(&stripe, w);
+        }
+    }
+}
+
+/// The AVX-512F body of [`weighted_sq_dist_lower`].
+///
+/// # Safety
+///
+/// The CPU must support AVX-512F; `x` and `xt` must hold `n · dim` values,
+/// `w` `dim` values and `out` `n · n` values.
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "avx512f")]
+unsafe fn weighted_sq_dist_lower_avx512(
+    x: &[f64],
+    xt: &[f64],
+    n: usize,
+    dim: usize,
+    w: &[f64],
+    out: &mut [f64],
+) {
+    use core::arch::x86_64::*;
+    debug_assert!(x.len() == n * dim && xt.len() == n * dim && w.len() == dim);
+    debug_assert!(out.len() == n * n);
+    let whole = dim - dim % 4;
+    let (xt_ptr, w_ptr) = (xt.as_ptr(), w.as_ptr());
+    for i in 1..n {
+        let xi = x.as_ptr().add(i * dim);
+        let mut j0 = 0;
+        while j0 < i {
+            // Lanes at or past `i` (the diagonal and above) are masked.
+            let mask = lane_mask((i - j0).min(DR));
+            let mut acc = [_mm512_setzero_pd(); 4];
+            let mut d = 0;
+            while d < whole {
+                for (u, a) in acc.iter_mut().enumerate() {
+                    let xj = _mm512_maskz_loadu_pd(mask, xt_ptr.add((d + u) * n + j0));
+                    let diff = _mm512_sub_pd(_mm512_set1_pd(*xi.add(d + u)), xj);
+                    let sq = _mm512_mul_pd(diff, diff);
+                    *a = _mm512_fmadd_pd(sq, _mm512_set1_pd(*w_ptr.add(d + u)), *a);
+                }
+                d += 4;
+            }
+            let mut s = _mm512_add_pd(_mm512_add_pd(acc[0], acc[1]), _mm512_add_pd(acc[2], acc[3]));
+            while d < dim {
+                let xj = _mm512_maskz_loadu_pd(mask, xt_ptr.add(d * n + j0));
+                let diff = _mm512_sub_pd(_mm512_set1_pd(*xi.add(d)), xj);
+                let sq = _mm512_mul_pd(diff, diff);
+                s = _mm512_fmadd_pd(sq, _mm512_set1_pd(*w_ptr.add(d)), s);
+                d += 1;
+            }
+            _mm512_mask_storeu_pd(out.as_mut_ptr().add(i * n + j0), mask, s);
+            j0 += DR;
+        }
+    }
+}
+
+#[cfg(not(target_arch = "x86_64"))]
+unsafe fn weighted_sq_dist_lower_avx512(
+    x: &[f64],
+    _xt: &[f64],
+    n: usize,
+    dim: usize,
+    w: &[f64],
+    out: &mut [f64],
+) {
+    // Unreachable in practice (see `direct_tile`).
+    let mut stripe = vec![0.0; dim];
+    for i in 1..n {
+        for j in 0..i {
+            for d in 0..dim {
+                let diff = x[i * dim + d] - x[j * dim + d];
+                stripe[d] = diff * diff;
+            }
+            out[i * n + j] = fused_dot_fma(&stripe, w);
+        }
+    }
+}
+
+/// `acc[d] += (mg[j] · w_d) · (x_i,d − x_j,d)²` for `j = 0, 1, …` in turn,
+/// one [`add_scaled_product`] per pair: the ARD lengthscale trace of point
+/// `i` against the points before it, `x` being row-major `n × dim`.
+///
+/// The AVX-512F tier keeps `acc` in registers across the pairs, lanes over
+/// `d`, in blocks of up to 64 dimensions (each `acc[d]` is its own chain of
+/// FMAs in pair order, so blocking over `d` keeps every bit).  Other tiers
+/// write each pair's squared differences, 64 dimensions at a time, into a
+/// stack buffer and call [`add_scaled_product`] on it.
+///
+/// # Panics
+///
+/// Panics if `x` does not hold `n × dim` values, `i ≥ n`, `mg` is longer
+/// than `i`, or `w` or `acc` is not `dim` long.
+pub(crate) fn add_scaled_sq_diffs(
+    x: &[f64],
+    n: usize,
+    dim: usize,
+    i: usize,
+    mg: &[f64],
+    w: &[f64],
+    acc: &mut [f64],
+) {
+    assert_eq!(
+        Some(x.len()),
+        n.checked_mul(dim),
+        "points are not {n}×{dim}"
+    );
+    assert!(i < n && mg.len() <= i, "pairs of point {i} outside 0..{n}");
+    assert!(
+        w.len() == dim && acc.len() == dim,
+        "weights or accumulators are not {dim} long"
+    );
+    const BLOCK: usize = 8 * DR;
+    let direct = crate::dispatch::avx512_active();
+    let mut d0 = 0;
+    while d0 < dim {
+        let width = BLOCK.min(dim - d0);
+        if direct {
+            // SAFETY: avx512_active() implies AVX-512F.  `x` holds `n × dim`
+            // values, `i < n` and `mg.len() ≤ i` (asserted above), so rows
+            // `i` and `j < mg.len()` are in it; dimensions `d0 .. d0 + width`
+            // lie inside every row and inside `w` and `acc`, and the lanes
+            // past `width` are masked.
+            unsafe {
+                match width.div_ceil(DR) {
+                    8 => add_scaled_sq_diffs_avx512::<8>(x, dim, i, d0, width, mg, w, acc),
+                    7 => add_scaled_sq_diffs_avx512::<7>(x, dim, i, d0, width, mg, w, acc),
+                    6 => add_scaled_sq_diffs_avx512::<6>(x, dim, i, d0, width, mg, w, acc),
+                    5 => add_scaled_sq_diffs_avx512::<5>(x, dim, i, d0, width, mg, w, acc),
+                    4 => add_scaled_sq_diffs_avx512::<4>(x, dim, i, d0, width, mg, w, acc),
+                    3 => add_scaled_sq_diffs_avx512::<3>(x, dim, i, d0, width, mg, w, acc),
+                    2 => add_scaled_sq_diffs_avx512::<2>(x, dim, i, d0, width, mg, w, acc),
+                    _ => add_scaled_sq_diffs_avx512::<1>(x, dim, i, d0, width, mg, w, acc),
+                }
+            }
+        } else {
+            let mut stripe = [0.0_f64; BLOCK];
+            let stripe = &mut stripe[..width];
+            let xi = &x[i * dim + d0..i * dim + d0 + width];
+            for (j, &m) in mg.iter().enumerate() {
+                let xj = &x[j * dim + d0..j * dim + d0 + width];
+                for ((s, &a), &b) in stripe.iter_mut().zip(xi).zip(xj) {
+                    let diff = a - b;
+                    *s = diff * diff;
+                }
+                add_scaled_product(&mut acc[d0..d0 + width], &w[d0..d0 + width], stripe, m);
+            }
+        }
+        d0 += width;
+    }
+}
+
+/// One `d`-block of [`add_scaled_sq_diffs`] held in `CH` registers.
+///
+/// # Safety
+///
+/// The CPU must support AVX-512F; `x` must hold rows `i` and `0..mg.len()`
+/// of `dim` values each; `8(CH − 1) < width ≤ 8·CH` and
+/// `d0 + width ≤ dim = w.len() = acc.len()`.
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "avx512f")]
+#[allow(clippy::too_many_arguments)]
+unsafe fn add_scaled_sq_diffs_avx512<const CH: usize>(
+    x: &[f64],
+    dim: usize,
+    i: usize,
+    d0: usize,
+    width: usize,
+    mg: &[f64],
+    w: &[f64],
+    acc: &mut [f64],
+) {
+    use core::arch::x86_64::*;
+    debug_assert!(width > DR * (CH - 1) && width <= DR * CH && d0 + width <= dim);
+    debug_assert!(w.len() == dim && acc.len() == dim && (i + 1) * dim <= x.len());
+    debug_assert!(mg.len() <= i);
+    let last = lane_mask(width - DR * (CH - 1));
+    let mask = |q: usize| if q + 1 == CH { last } else { u8::MAX };
+    let xi = x.as_ptr().add(i * dim + d0);
+    let (w_ptr, acc_ptr) = (w.as_ptr().add(d0), acc.as_mut_ptr().add(d0));
+    let mut xiv = [_mm512_setzero_pd(); CH];
+    let mut wv = [_mm512_setzero_pd(); CH];
+    let mut av = [_mm512_setzero_pd(); CH];
+    for q in 0..CH {
+        xiv[q] = _mm512_maskz_loadu_pd(mask(q), xi.add(q * DR));
+        wv[q] = _mm512_maskz_loadu_pd(mask(q), w_ptr.add(q * DR));
+        av[q] = _mm512_maskz_loadu_pd(mask(q), acc_ptr.add(q * DR));
+    }
+    for (j, &m) in mg.iter().enumerate() {
+        let mv = _mm512_set1_pd(m);
+        let xj = x.as_ptr().add(j * dim + d0);
+        for q in 0..CH {
+            let diff = _mm512_sub_pd(xiv[q], _mm512_maskz_loadu_pd(mask(q), xj.add(q * DR)));
+            let sq = _mm512_mul_pd(diff, diff);
+            av[q] = _mm512_fmadd_pd(_mm512_mul_pd(mv, wv[q]), sq, av[q]);
+        }
+    }
+    for (q, a) in av.iter().enumerate() {
+        _mm512_mask_storeu_pd(acc_ptr.add(q * DR), mask(q), *a);
+    }
+}
+
+#[cfg(not(target_arch = "x86_64"))]
+#[allow(clippy::too_many_arguments)]
+unsafe fn add_scaled_sq_diffs_avx512<const CH: usize>(
+    x: &[f64],
+    dim: usize,
+    i: usize,
+    d0: usize,
+    width: usize,
+    mg: &[f64],
+    w: &[f64],
+    acc: &mut [f64],
+) {
+    // Unreachable in practice (see `direct_tile`).
+    for (j, &m) in mg.iter().enumerate() {
+        for d in d0..d0 + width {
+            let diff = x[i * dim + d] - x[j * dim + d];
+            acc[d] = (m * w[d]).mul_add(diff * diff, acc[d]);
         }
     }
 }

@@ -4,6 +4,8 @@
 //! acquisition optimizers; keeping them as plain slice functions avoids forcing a
 //! vector newtype on every caller.
 
+use crate::Matrix;
+
 /// Dot product of two equal-length slices.
 ///
 /// # Panics
@@ -48,6 +50,55 @@ pub fn add_scaled_product(acc: &mut [f64], x: &[f64], y: &[f64], scale: f64) {
     assert_eq!(acc.len(), x.len(), "add_scaled_product length mismatch");
     assert_eq!(acc.len(), y.len(), "add_scaled_product length mismatch");
     crate::packed::add_scaled_product(acc, x, y, scale);
+}
+
+/// Weighted squared distances between every pair of the `n` rows of `x`,
+/// into the strict lower triangle of `out` (`n × n`): for `j < i`,
+///
+/// ```text
+/// out[i][j] = Σ_d w[d] · (x[i][d] − x[j][d])²
+/// ```
+///
+/// `xt` must be the transpose of `x` (only its shape is checked); the
+/// AVX-512F tier reads eight points per dimension from it.  Each entry equals
+/// [`fused_dot`] of the pair's squared differences with `w`, bit for bit, on
+/// every kernel tier.  The diagonal and upper triangle of `out` are not
+/// written.  This is the Gram build of a Gaussian-process fit with ARD
+/// lengthscale weights `w`.
+///
+/// # Panics
+///
+/// Panics if `xt` is not `dim × n`, `w` is not `dim` long or `out` is not
+/// `n × n`, where `x` is `n × dim`.
+pub fn weighted_sq_dist_lower(x: &Matrix, xt: &Matrix, w: &[f64], out: &mut Matrix) {
+    let (n, dim) = x.shape();
+    assert_eq!(xt.shape(), (dim, n), "transpose shape mismatch");
+    assert_eq!(out.shape(), (n, n), "distance output shape mismatch");
+    crate::packed::weighted_sq_dist_lower(
+        x.as_slice(),
+        xt.as_slice(),
+        n,
+        dim,
+        w,
+        out.as_mut_slice(),
+    );
+}
+
+/// `acc[d] += scales[j] · w[d] · (x[i][d] − x[j][d])²` for `j = 0, 1, …` in
+/// turn over the `scales`, which pair row `i` of `x` with the rows before it.
+///
+/// Each pair's update equals one [`add_scaled_product`] of `w` with the
+/// pair's squared differences, bit for bit, on every kernel tier.  This is
+/// the lengthscale trace of a Gaussian-process likelihood gradient, with
+/// `scales[j]` the pair's weight `((K⁻¹ − ααᵀ) ∘ K)[i][j]`.
+///
+/// # Panics
+///
+/// Panics if `i` is not a row of `x`, `scales` is longer than `i`, or `w` or
+/// `acc` does not hold one value per column of `x`.
+pub fn add_scaled_sq_diffs(acc: &mut [f64], x: &Matrix, i: usize, scales: &[f64], w: &[f64]) {
+    let (n, dim) = x.shape();
+    crate::packed::add_scaled_sq_diffs(x.as_slice(), n, dim, i, scales, w, acc);
 }
 
 /// The per-step constants of one [`adam_update`], shared by every parameter.

@@ -106,7 +106,14 @@ impl BatchCore {
         };
         if let Err(payload) = catch_unwind(AssertUnwindSafe(task)) {
             let mut slot = recover_lock(&self.panic, &self.poisonings);
-            slot.get_or_insert(payload);
+            if slot.is_none() {
+                *slot = Some(payload);
+            } else if let Err(nested) = catch_unwind(AssertUnwindSafe(move || drop(payload))) {
+                // Only the first payload is re-thrown.  Dropping a later one
+                // runs its destructor, which must not unwind out of a batch
+                // participant (see `run_batch`); one that does is leaked.
+                std::mem::forget(nested);
+            }
         }
         if self.remaining.fetch_sub(1, Ordering::AcqRel) == 1 {
             let mut done = recover_lock(&self.done, &self.poisonings);
@@ -329,11 +336,30 @@ impl WorkerPool {
             return;
         }
         let n = tasks.len();
-        // SAFETY: the 'env tasks are executed only between this point and
-        // the latch wait below; `wait_batch` does not return until
-        // `remaining` reaches zero (task panics are caught and still count
-        // down), and no code path between submission and the wait can
-        // unwind past this frame, so every borrow outlives every execution.
+        // SAFETY: the transmute only erases the `'env` bound of each boxed
+        // closure (same type, same layout).  It is sound if no task is run or
+        // dropped after this frame is left, since after that the borrows in
+        // `'env` may dangle.  That holds because:
+        //
+        // 1. A task is reachable only through `batch.tasks` until a
+        //    participant pops it in `BatchCore::run_one`, which runs it to
+        //    completion under `catch_unwind` and so consumes and drops it
+        //    (also when it panics) before decrementing `remaining`.
+        // 2. `remaining` starts at `n`, so it reaches zero only after all `n`
+        //    tasks were popped, run and dropped.  The `AcqRel` decrement and
+        //    the `done` mutex make every write a task made through its
+        //    borrows visible here before the wait below returns.
+        // 3. This frame is left only after `wait_batch` saw `remaining` at
+        //    zero: the code between here and the wait cannot unwind.  Task
+        //    panics are caught in `run_one`; a second payload's destructor
+        //    runs under `catch_unwind` there too; poisoned locks are
+        //    recovered by `recover_lock`/`recover_wait`; the rest is atomics
+        //    and a condvar notify.  An allocation failure aborts rather than
+        //    unwinds.  The only unwind, `resume_unwind`, comes after the wait.
+        // 4. A worker may still hold the `Arc<BatchCore>` when this returns
+        //    (it dequeued the batch late), but `tasks` is empty by then and
+        //    the rest of `BatchCore` holds no `'env` data: a panic payload is
+        //    a `Box<dyn Any + Send>`, which is `'static`.
         let tasks: VecDeque<BatchTask> = tasks
             .into_iter()
             .map(|t| unsafe {
@@ -631,6 +657,71 @@ mod tests {
         assert!(msg.contains("scripted batch panic"), "{msg}");
         // The panic must not abort the rest of the batch.
         assert_eq!(completed.load(Ordering::SeqCst), 4);
+    }
+
+    #[test]
+    fn batch_task_panic_waits_for_tasks_still_borrowing_the_callers_frame() {
+        /// Set once the panicking task has started to unwind.
+        struct ReleaseOnUnwind<'a>(&'a AtomicBool);
+        impl Drop for ReleaseOnUnwind<'_> {
+            fn drop(&mut self) {
+                self.0.store(true, Ordering::SeqCst);
+            }
+        }
+        let pool = WorkerPool::new(2);
+        // Stack data of this frame, borrowed by the tasks.
+        let mut slots = [0u64; 6];
+        let started = AtomicUsize::new(0);
+        let finished = AtomicUsize::new(0);
+        let unwinding = AtomicBool::new(false);
+        let deadline = std::time::Instant::now() + Duration::from_secs(10);
+        let result = catch_unwind(AssertUnwindSafe(|| {
+            let (started, finished, unwinding) = (&started, &finished, &unwinding);
+            let mut tasks: Vec<Box<dyn FnOnce() + Send + '_>> = Vec::new();
+            tasks.push(Box::new(move || {
+                // Panic once the next task holds its borrow.  The first two
+                // tasks run at once, on the submitting thread and on the
+                // worker that dequeued the batch (others join only as that
+                // worker re-injects it after finishing a task).
+                while started.load(Ordering::SeqCst) < 1 && std::time::Instant::now() < deadline {
+                    std::thread::yield_now();
+                }
+                let _release = ReleaseOnUnwind(unwinding);
+                panic!("scripted panic while other tasks borrow the frame");
+            }));
+            for (i, slot) in slots.iter_mut().enumerate() {
+                tasks.push(Box::new(move || {
+                    started.fetch_add(1, Ordering::SeqCst);
+                    // Hold the borrow until the panic is unwinding; the
+                    // first borrower also outlasts every other task, and
+                    // then waits a little longer, so that a submitter
+                    // returning before it finished would find its slot
+                    // unwritten.
+                    let others = if i == 0 { 5 } else { 0 };
+                    while (!unwinding.load(Ordering::SeqCst)
+                        || finished.load(Ordering::SeqCst) < others)
+                        && std::time::Instant::now() < deadline
+                    {
+                        std::thread::yield_now();
+                    }
+                    if i == 0 {
+                        std::thread::sleep(Duration::from_millis(20));
+                    }
+                    *slot = i as u64 + 1;
+                    finished.fetch_add(1, Ordering::SeqCst);
+                }));
+            }
+            pool.run_batch(tasks);
+        }));
+        assert!(result.is_err(), "the panic must reach the submitter");
+        // The unwind left `run_batch` only after every borrowing task wrote
+        // its slot.
+        assert_eq!(slots, [1, 2, 3, 4, 5, 6]);
+        assert_eq!(finished.load(Ordering::SeqCst), 6);
+        assert!(
+            std::time::Instant::now() < deadline,
+            "the interleaving was not forced"
+        );
     }
 
     #[test]
