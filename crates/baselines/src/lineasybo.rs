@@ -15,7 +15,7 @@
 //! ([`SuggestStrategy::LineSubspace`]); this module binds it to the classical
 //! ARD-GP surrogate whose fitted lengthscales drive the adaptive
 //! [`DirectionRule::LengthscaleWeighted`] direction sampling.  Everything
-//! else — warm refits through `fit_multi_warm_cached`, incremental
+//! else — warm refits through `GpModel::fit_multi_warm`, incremental
 //! `append_observation` updates, failure policies, snapshot/resume — is the
 //! exact machinery WEIBO uses, so the two differ *only* in how the next point
 //! is proposed.

@@ -3,7 +3,7 @@
 use std::sync::Mutex;
 
 use nnbo_core::{BayesOpt, BoConfig, Prediction, SurrogateModel, SurrogateTrainer};
-use nnbo_gp::{FitContext, GpConfig, GpHyperParams, GpModel, GpPredictScratch, GpPrediction};
+use nnbo_gp::{GpConfig, GpHyperParams, GpModel, GpPredictScratch, GpPrediction};
 use rand::rngs::StdRng;
 use serde::{DeError, Deserialize, Serialize, Value};
 
@@ -112,41 +112,19 @@ impl SurrogateModel for GpSurrogate {
     }
 }
 
-/// Trainer producing classical-GP surrogates, used by the WEIBO and GASPAD
-/// baselines.
-///
-/// Across the refits of one Bayesian-optimization run the trainer keeps the
-/// previous [`FitContext`] (the training rows and their transpose, which the
-/// likelihood's pairwise Gram and trace kernels read) in a cache slot: since
-/// the BO history grows append-only, each refit extends it by the new rows,
-/// `O(N·D)`.  The cache never changes results — an extended context equals a
-/// fresh one, and a history that does not extend the cached rows triggers a
-/// rebuild.  A clone starts with an empty
-/// slot of its own: two trainers driving different BO runs would only evict
-/// each other's context (and contend on the lock) if they shared one.
-#[derive(Debug, Default)]
+/// Trainer producing classical-GP surrogates, used by the WEIBO, LinEasyBO
+/// and GASPAD baselines.  It holds only its configuration, so every fit
+/// depends on its inputs alone.
+#[derive(Debug, Clone, Default)]
 pub struct GpSurrogateTrainer {
     /// GP fitting configuration.
     pub config: GpConfig,
-    ctx_cache: Mutex<Option<FitContext>>,
-}
-
-impl Clone for GpSurrogateTrainer {
-    fn clone(&self) -> Self {
-        GpSurrogateTrainer {
-            config: self.config.clone(),
-            ctx_cache: Mutex::new(None),
-        }
-    }
 }
 
 impl GpSurrogateTrainer {
     /// Creates a trainer with the given GP configuration.
     pub fn new(config: GpConfig) -> Self {
-        GpSurrogateTrainer {
-            config,
-            ctx_cache: Mutex::new(None),
-        }
+        GpSurrogateTrainer { config }
     }
 
     /// A cheaper trainer for tests and smoke experiments.
@@ -164,11 +142,10 @@ impl SurrogateTrainer for GpSurrogateTrainer {
             .map_err(|e| e.to_string())
     }
 
-    /// Multi-output fitting through [`GpModel::fit_multi_warm_cached`]: the
+    /// Multi-output fitting through [`GpModel::fit_multi_warm`]: the
     /// objective and every constraint share one fit context (the common
-    /// design points and their transpose, extended across refits through the
-    /// trainer's cache), train on
-    /// scoped threads, and — when the previous refit's surrogates are
+    /// design points and their transpose, built once per call), train on
+    /// the shared worker pool, and — when the previous refit's surrogates are
     /// supplied — warm-start each output's hyper-parameter optimization from
     /// its last optimum instead of rerunning the multi-restart schedule.
     fn fit_many(
@@ -185,11 +162,7 @@ impl SurrogateTrainer for GpSurrogateTrainer {
                 .collect(),
             _ => vec![None; targets.len()],
         };
-        let mut cache = self
-            .ctx_cache
-            .lock()
-            .unwrap_or_else(|poisoned| poisoned.into_inner());
-        GpModel::fit_multi_warm_cached(xs, targets, &self.config, rng, &warm, &mut cache)
+        GpModel::fit_multi_warm(xs, targets, &self.config, rng, &warm)
             .map(|models| models.into_iter().map(GpSurrogate::from_model).collect())
             .map_err(|e| e.to_string())
     }

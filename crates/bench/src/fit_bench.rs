@@ -1,13 +1,12 @@
-//! Old-vs-new timings of the surrogate *fit* path, emitted as
-//! `BENCH_fit.json` so later PRs can track the performance trajectory
-//! (companion of the prediction-path benchmark in `BENCH_linalg.json`).
+//! Timings of the surrogate *fit* path, emitted as `BENCH_fit.json` so the
+//! performance trajectory can be tracked across changes (companion of the
+//! prediction-path benchmark in `BENCH_linalg.json`).
 //!
-//! Every entry compares a baseline fitting strategy against the optimized one
-//! on the same data, and records the achieved negative log marginal
-//! likelihood of both so the speedups are tied to fit quality:
+//! Every entry compares two ways the production API can fit the same data —
+//! a cold schedule against a warm or shared one, or two refit policies — and
+//! records the achieved negative log marginal likelihood of both so the
+//! speedups are tied to fit quality:
 //!
-//! * `gp_fit_cold` — the pre-context reference fit (per-iteration Gram
-//!   rebuilds, materialised `∂K/∂θ` matrices) vs the shared-context cold fit.
 //! * `gp_refit_warm` — a cold multi-restart refit after one appended
 //!   observation vs the warm-started refit from the previous optimum.
 //! * `gp_fit_multi_cold` — sequential per-output cold fits vs the
@@ -18,13 +17,6 @@
 //!   same 3-output problem: sequential cold fits (what `refresh_models` did
 //!   before the multi-output path) vs `fit_multi_warm` seeded with the
 //!   previous refit's hyper-parameters (what it does now).
-//! * `symmetric_inverse` — one NLL-gradient evaluation (the body of every
-//!   Adam iteration of a GP fit) with the dense-sweep `(K + σn²I)⁻¹`
-//!   ([`nnbo_gp::InverseStrategy::DenseSweeps`]) vs the dpotri-style
-//!   triangle-only inverse and trace pass
-//!   ([`nnbo_gp::InverseStrategy::Symmetric`]); the NLL columns record both
-//!   strategies' likelihoods at the same hyper-parameters (bit-close by the
-//!   equivalence property tests).
 //! * `ngp_refit_warm` — the paper's surrogate: a neural-GP refit after one
 //!   appended observation, cold (full retraining of the feature network from
 //!   random initialisation) vs warm-started continuation from the previous
@@ -79,9 +71,8 @@ impl FitBenchEntry {
 }
 
 /// Shared design points and target columns (one objective plus two
-/// constraint-like outputs) for the fit-path measurements — used by both
-/// `reproduce fit` and the `fit_path` criterion bench so they exercise the
-/// same workload.
+/// constraint-like outputs) for the fit-path measurements — used by
+/// `reproduce fit` and by the surrogate-lifecycle tests.
 pub fn fit_dataset(n: usize, dim: usize, seed: u64) -> (Vec<Vec<f64>>, Vec<Vec<f64>>) {
     let rng = &mut StdRng::seed_from_u64(seed);
     let xs: Vec<Vec<f64>> = (0..n)
@@ -141,28 +132,9 @@ pub fn run_fit_bench(quick: bool) -> Result<Vec<FitBenchEntry>, BenchError> {
     let objective = &targets_base[0];
     let mut entries = Vec::new();
 
-    // 1. Cold fit: reference implementation vs shared-context pipeline.
-    let (ref_ns, ref_model) = time_best(reps, || {
-        GpModel::fit_reference(&xs_base, objective, &config, &mut StdRng::seed_from_u64(5))
-    });
-    let ref_model = ref_model?;
-    let (cold_ns, cold_model) = time_best(reps, || {
-        GpModel::fit(&xs_base, objective, &config, &mut StdRng::seed_from_u64(5))
-    });
-    let cold_model = cold_model?;
-    entries.push(FitBenchEntry {
-        name: "gp_fit_cold",
-        n,
-        outputs: 1,
-        baseline_ns: ref_ns,
-        optimized_ns: cold_ns,
-        baseline_nll: ref_model.nll(),
-        optimized_nll: cold_model.nll(),
-        refits: None,
-    });
-
-    // 2. Refit after one appended observation: cold restart schedule vs
-    //    warm start from the previous optimum.
+    // 1. Refit after one appended observation: cold restart schedule vs
+    //    warm start from the optimum of a cold fit on the base data.
+    let cold_model = GpModel::fit(&xs_base, objective, &config, &mut StdRng::seed_from_u64(5))?;
     let objective_ext = &targets[0];
     let (refit_cold_ns, refit_cold) = time_best(reps, || {
         GpModel::fit(&xs, objective_ext, &config, &mut StdRng::seed_from_u64(6))
@@ -190,7 +162,7 @@ pub fn run_fit_bench(quick: bool) -> Result<Vec<FitBenchEntry>, BenchError> {
         refits: None,
     });
 
-    // 3. Multi-output cold: sequential per-output fits vs one shared-context
+    // 2. Multi-output cold: sequential per-output fits vs one shared-context
     //    fit_multi call (same cold optimizer schedule per output).
     let multi_reps = if quick { 2 } else { 3 };
     let nll_sum = |models: &[GpModel]| models.iter().map(GpModel::nll).sum::<f64>();
@@ -225,7 +197,7 @@ pub fn run_fit_bench(quick: bool) -> Result<Vec<FitBenchEntry>, BenchError> {
         refits: None,
     });
 
-    // 4. The BO-loop refresh contrast: sequential cold fits over the extended
+    // 3. The BO-loop refresh contrast: sequential cold fits over the extended
     //    data (the pre-multi-output refresh_models path) vs fit_multi_warm
     //    seeded with the previous refit's hyper-parameters.
     let (refresh_cold_ns, refresh_cold) = time_best(multi_reps, || {
@@ -261,57 +233,7 @@ pub fn run_fit_bench(quick: bool) -> Result<Vec<FitBenchEntry>, BenchError> {
         refits: None,
     });
 
-    // 5. The per-iteration core of every fit above: one NLL-gradient
-    //    evaluation with the dense-sweep inverse vs the dpotri-style
-    //    symmetric inverse + triangle-only trace pass.
-    {
-        use nnbo_gp::{nll_and_grad_with, FitContext, FitScratch, GpHyperParams, InverseStrategy};
-        let x = nnbo_linalg::Matrix::from_rows(&xs_base);
-        let (y_std, _) = nnbo_linalg::standardize(objective);
-        let ctx = FitContext::new(&x);
-        let mut scratch = FitScratch::new(n, dim);
-        let hyper = GpHyperParams {
-            log_signal: 0.2,
-            log_lengthscales: vec![0.0; dim],
-            log_noise: -2.5,
-            mean: 0.0,
-        };
-        let grad_reps = if quick { 3 } else { 5 };
-        let (dense_ns, dense_nll) = time_best(grad_reps, || {
-            nll_and_grad_with(
-                &ctx,
-                &y_std,
-                &hyper,
-                config.jitter,
-                &mut scratch,
-                InverseStrategy::DenseSweeps,
-            )
-        });
-        let dense_nll = dense_nll.ok_or("dense-sweep NLL evaluation failed")?;
-        let (sym_ns, sym_nll) = time_best(grad_reps, || {
-            nll_and_grad_with(
-                &ctx,
-                &y_std,
-                &hyper,
-                config.jitter,
-                &mut scratch,
-                InverseStrategy::Symmetric,
-            )
-        });
-        let sym_nll = sym_nll.ok_or("symmetric-inverse NLL evaluation failed")?;
-        entries.push(FitBenchEntry {
-            name: "symmetric_inverse",
-            n,
-            outputs: 1,
-            baseline_ns: dense_ns,
-            optimized_ns: sym_ns,
-            baseline_nll: dense_nll,
-            optimized_nll: sym_nll,
-            refits: None,
-        });
-    }
-
-    // 6. The paper's surrogate: neural-GP refit after one appended
+    // 4. The paper's surrogate: neural-GP refit after one appended
     //    observation — cold retraining from random initialisation vs the
     //    warm-started continuation of the previous network.
     let ngp_config = if quick {
@@ -359,7 +281,7 @@ pub fn run_fit_bench(quick: bool) -> Result<Vec<FitBenchEntry>, BenchError> {
         refits: None,
     });
 
-    // 7. The same contrast for the K-member ensemble (eq. 13), every member
+    // 5. The same contrast for the K-member ensemble (eq. 13), every member
     //    continuing Adam from its predecessor's weights.
     let ens_config = EnsembleConfig {
         members: if quick { 2 } else { 3 },
@@ -398,7 +320,7 @@ pub fn run_fit_bench(quick: bool) -> Result<Vec<FitBenchEntry>, BenchError> {
         refits: None,
     });
 
-    // 8. The surrogate lifecycle end to end: the same growing observation
+    // 6. The surrogate lifecycle end to end: the same growing observation
     //    stream maintained with always-refit (`Fixed(1)`) vs the adaptive
     //    NLL-drift policy, which absorbs most observations through the
     //    bordered-Cholesky update and refits only when the incremental
@@ -480,24 +402,12 @@ pub fn run_refit_lifecycle(
 ) -> Result<LifecycleOutcome, BenchError> {
     assert!(initial > 0 && initial <= xs.len(), "bad initial size");
     let mut rng = StdRng::seed_from_u64(seed);
-    let mut cache = None;
-    let full_fit = |n: usize,
-                    warm: Option<GpHyperParams>,
-                    rng: &mut StdRng,
-                    cache: &mut Option<nnbo_gp::FitContext>| {
+    let full_fit = |n: usize, warm: Option<GpHyperParams>, rng: &mut StdRng| {
         Ok::<GpModel, BenchError>(
-            GpModel::fit_multi_warm_cached(
-                &xs[..n],
-                &[ys[..n].to_vec()],
-                config,
-                rng,
-                &[warm],
-                cache,
-            )?
-            .remove(0),
+            GpModel::fit_multi_warm(&xs[..n], &[ys[..n].to_vec()], config, rng, &[warm])?.remove(0),
         )
     };
-    let mut model = full_fit(initial, None, &mut rng, &mut cache)?;
+    let mut model = full_fit(initial, None, &mut rng)?;
     let mut full_refits = 0usize;
     let mut last_full_fit = initial;
     let mut fit_nll_per_point = model.nll() / initial as f64;
@@ -524,7 +434,7 @@ pub fn run_refit_lifecycle(
         }
         if needs_full {
             let warm = Some(model.hyper_params().clone());
-            model = full_fit(n, warm, &mut rng, &mut cache)?;
+            model = full_fit(n, warm, &mut rng)?;
             full_refits += 1;
             last_full_fit = n;
             fit_nll_per_point = model.nll() / n as f64;
@@ -537,7 +447,8 @@ pub fn run_refit_lifecycle(
 }
 
 /// Serialises the entries as the `BENCH_fit.json` document (JSON written by
-/// hand — the workspace's serde is an offline no-op stand-in).
+/// hand with pretty-printed rows; the vendored `serde::json` writer only
+/// emits compact text).
 pub fn format_fit_json(entries: &[FitBenchEntry], quick: bool) -> String {
     let rows: Vec<String> = entries
         .iter()
@@ -610,11 +521,9 @@ mod tests {
         let entries = run_fit_bench(true).expect("quick fit bench runs");
         let names: Vec<&str> = entries.iter().map(|e| e.name).collect();
         for expected in [
-            "gp_fit_cold",
             "gp_refit_warm",
             "gp_fit_multi_cold",
             "gp_fit_multi_warm",
-            "symmetric_inverse",
             "ngp_refit_warm",
             "ngp_ensemble_refit_warm",
             "refit_policy_nll_drift",

@@ -302,7 +302,8 @@ pub fn run_linalg_bench(quick: bool) -> Result<Vec<LinalgBenchEntry>, BenchError
 }
 
 /// Serialises the entries as the `BENCH_linalg.json` document (JSON written by
-/// hand — the workspace's serde is an offline no-op stand-in).
+/// hand with pretty-printed rows; the vendored `serde::json` writer only
+/// emits compact text).
 pub fn format_linalg_json(entries: &[LinalgBenchEntry], quick: bool) -> String {
     let rows: Vec<String> = entries
         .iter()

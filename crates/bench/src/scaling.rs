@@ -213,8 +213,8 @@ pub fn run_subspace_scaling(protocol: &SubspaceProtocol) -> Result<Vec<SubspaceP
 
 /// Serialises the scaling points plus the subspace study as the
 /// `BENCH_scaling.json` document so the complexity trajectory can be tracked
-/// across PRs (JSON written by hand — the workspace's serde is an offline
-/// no-op stand-in).
+/// across changes (JSON written by hand with pretty-printed rows; the vendored
+/// `serde::json` writer only emits compact text).
 pub fn format_scaling_json(
     points: &[ScalingPoint],
     subspace: &[SubspacePoint],

@@ -121,6 +121,16 @@ fn summaries_for(
     Ok((summaries, results))
 }
 
+/// Mean of one circuit performance over the runs' best designs: NaN (printed
+/// `null`, like the objective columns beside it) when no run has one.
+fn best_point_mean(values: &[f64]) -> f64 {
+    if values.is_empty() {
+        f64::NAN
+    } else {
+        nnbo_linalg::mean(values)
+    }
+}
+
 /// Reproduces Table I: the two-stage op-amp sizing comparison.
 pub fn run_table1(protocol: &Protocol) -> Result<Vec<Table1Row>, BenchError> {
     let problem = OpAmpProblem::new();
@@ -158,8 +168,8 @@ pub fn run_table1(protocol: &Protocol) -> Result<Vec<Table1Row>, BenchError> {
         };
         rows.push(Table1Row {
             algorithm: algorithm.name().to_string(),
-            ugf_mhz: nnbo_linalg::mean(&ugf),
-            pm_deg: nnbo_linalg::mean(&pm),
+            ugf_mhz: best_point_mean(&ugf),
+            pm_deg: best_point_mean(&pm),
             mean_gain,
             median_gain,
             best_gain,
@@ -210,11 +220,11 @@ pub fn run_table2(protocol: &Protocol) -> Result<Vec<Table2Row>, BenchError> {
         };
         rows.push(Table2Row {
             algorithm: algorithm.name().to_string(),
-            diff1: nnbo_linalg::mean(&diff[0]),
-            diff2: nnbo_linalg::mean(&diff[1]),
-            diff3: nnbo_linalg::mean(&diff[2]),
-            diff4: nnbo_linalg::mean(&diff[3]),
-            deviation: nnbo_linalg::mean(&deviation),
+            diff1: best_point_mean(&diff[0]),
+            diff2: best_point_mean(&diff[1]),
+            diff3: best_point_mean(&diff[2]),
+            diff4: best_point_mean(&diff[3]),
+            deviation: best_point_mean(&deviation),
             mean_fom,
             median_fom,
             best_fom,
@@ -455,8 +465,9 @@ pub fn format_table2_highdim(rows: &[HighDimRow]) -> String {
 }
 
 /// Serialises Table I rows as the `BENCH_table1.json` document so the result
-/// trajectory can be tracked across PRs (JSON written by hand — the
-/// workspace's serde is an offline no-op stand-in).
+/// trajectory can be tracked across changes (JSON written by hand with
+/// pretty-printed rows; the vendored `serde::json` writer only emits compact
+/// text).
 pub fn format_table1_json(rows: &[Table1Row], quick: bool) -> String {
     let rendered: Vec<String> = rows
         .iter()
@@ -646,6 +657,13 @@ mod tests {
         assert!(json2.contains("\"scored_per_iteration\": 96"));
         assert_eq!(json2.matches('{').count(), json2.matches('}').count());
         assert_eq!(json2.matches('[').count(), json2.matches(']').count());
+    }
+
+    #[test]
+    fn performance_columns_without_a_best_point_print_null() {
+        assert_eq!(best_point_mean(&[1.0, 2.0, 6.0]), 3.0);
+        assert!(best_point_mean(&[]).is_nan());
+        assert_eq!(json_number(best_point_mean(&[])), "null");
     }
 
     /// The structural claim behind the high-dimensional section: under the

@@ -13,9 +13,8 @@
 //!    trajectory bit for bit on whichever path is active, and the two paths
 //!    draw the identical (model-free) initial design.
 //! 2. **Policy equivalences** — `RefitPolicy::NllDrift` with `threshold = 0`
-//!    reproduces always-refit (`Fixed(1)`) suggestions bit-identically, and
-//!    the deprecated `with_refit_every(k)` shim reproduces
-//!    `RefitPolicy::Fixed(k)` — on both dispatch paths.
+//!    reproduces always-refit (`Fixed(1)`) suggestions bit-identically — on
+//!    both dispatch paths.
 //! 3. **Drift economics** — the drift policy performs measurably fewer full
 //!    refits than always-refit at equal observation count while its final
 //!    likelihood stays within a tight band of the always-refit one
@@ -131,24 +130,6 @@ fn zero_threshold_drift_reproduces_always_refit_on_both_dispatch_paths() {
             "threshold = 0 must reproduce always-refit bit-identically"
         );
         assert_eq!(always.full_refits(), drift.full_refits());
-    };
-    check();
-    with_portable(check);
-}
-
-#[test]
-fn deprecated_refit_every_shim_matches_fixed_policy_end_to_end() {
-    let _guard = serial();
-    let budget = 14;
-    let check = || {
-        #[allow(deprecated)]
-        let shim_config = BoConfig::fast(8, budget).with_seed(62).with_refit_every(4);
-        let shim = BayesOpt::with_trainer(shim_config, GpSurrogateTrainer::fast())
-            .run(&ConstrainedBranin::new())
-            .expect("shim run");
-        let fixed = weibo_run(62, budget, RefitPolicy::Fixed(4));
-        assert_eq!(shim.evaluations(), fixed.evaluations());
-        assert_eq!(shim.full_refits(), fixed.full_refits());
     };
     check();
     with_portable(check);

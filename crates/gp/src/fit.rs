@@ -39,13 +39,10 @@ use crate::{GpConfig, GpError, GpHyperParams};
 /// ([`nnbo_linalg::weighted_sq_dist_lower`],
 /// [`nnbo_linalg::add_scaled_sq_diffs`]), with the same subtraction and
 /// multiplication as a stored copy would have used.  The `D × N` transpose
-/// lets the Gram kernel read eight points per dimension at once.  A
-/// Bayesian-optimization loop grows the context by one observation at a time
-/// ([`FitContext::append`], `O(N·D)`); [`FitContext::update_to`] applies that
-/// whenever the new design matrix extends the previous one and falls back to
-/// a full rebuild otherwise.  Either way the context equals a fresh one.
+/// lets the Gram kernel read eight points per dimension at once.  Building
+/// the context is one `O(N·D)` copy and transpose, done once per fit call.
 #[derive(Debug, Clone)]
-pub struct FitContext {
+pub(crate) struct FitContext {
     /// The training rows, `N × D`.
     x: Matrix,
     /// Their transpose, `D × N`.
@@ -54,7 +51,7 @@ pub struct FitContext {
 
 impl FitContext {
     /// Builds the context for the training rows of `x` (`N × D`).
-    pub fn new(x: &Matrix) -> Self {
+    pub(crate) fn new(x: &Matrix) -> Self {
         FitContext {
             x: x.clone(),
             xt: x.transpose(),
@@ -62,52 +59,13 @@ impl FitContext {
     }
 
     /// Number of training points.
-    pub fn len(&self) -> usize {
+    pub(crate) fn len(&self) -> usize {
         self.x.nrows()
     }
 
-    /// `true` when the context covers no points.
-    pub fn is_empty(&self) -> bool {
-        self.len() == 0
-    }
-
     /// Input dimensionality.
-    pub fn dim(&self) -> usize {
+    pub(crate) fn dim(&self) -> usize {
         self.x.ncols()
-    }
-
-    /// Appends one training point, `O(N·D)` work.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `row.len() != dim()`.
-    pub fn append(&mut self, row: &[f64]) {
-        assert_eq!(row.len(), self.dim(), "append dimension mismatch");
-        self.x = Matrix::vstack(&self.x, &Matrix::from_rows(&[row.to_vec()]));
-        self.x.transpose_into(&mut self.xt);
-    }
-
-    /// Brings the context up to date with `x`: when `x` extends the rows the
-    /// context was built from (the append-only growth of a BO history), the
-    /// missing points are appended and the call returns `true`; any other
-    /// change triggers a full rebuild and returns `false`.  Either way the
-    /// context describes exactly `x` afterwards, identical to
-    /// `FitContext::new(x)`.
-    pub fn update_to(&mut self, x: &Matrix) -> bool {
-        let n = self.len();
-        let extends = n > 0
-            && x.ncols() == self.dim()
-            && x.nrows() >= n
-            && x.as_slice()[..n * self.dim()] == *self.x.as_slice();
-        if !extends {
-            *self = FitContext::new(x);
-            return false;
-        }
-        if x.nrows() > n {
-            self.x.clone_from(x);
-            self.x.transpose_into(&mut self.xt);
-        }
-        true
     }
 
     /// Writes the lower triangle of the ARD-SE kernel matrix for inverse
@@ -139,7 +97,7 @@ impl FitContext {
 /// Per-output scratch buffers of the NLL/gradient evaluation, allocated once
 /// per output and reused across every Adam iteration of a fit.
 #[derive(Debug, Clone)]
-pub struct FitScratch {
+pub(crate) struct FitScratch {
     /// Kernel matrix without noise (kept for the gradient pass).
     gram: Matrix,
     /// `K + σn² I`, the matrix handed to the Cholesky factorization.
@@ -162,7 +120,7 @@ pub struct FitScratch {
 
 impl FitScratch {
     /// Allocates scratch for `n` training points in `dim` dimensions.
-    pub fn new(n: usize, dim: usize) -> Self {
+    pub(crate) fn new(n: usize, dim: usize) -> Self {
         FitScratch {
             gram: Matrix::zeros(n, n),
             k: Matrix::zeros(n, n),
@@ -175,29 +133,6 @@ impl FitScratch {
             grad: vec![0.0; dim + 3],
         }
     }
-
-    /// The gradient left by the last evaluation, ordered
-    /// `[log σf, log l_1.., log σn, µ0]`.
-    pub fn grad(&self) -> &[f64] {
-        &self.grad
-    }
-}
-
-/// How the NLL gradient obtains the dense `(K + σn²I)⁻¹` it traces against.
-///
-/// [`InverseStrategy::Symmetric`] is the production path; the dense-sweep
-/// variant is kept so benchmarks and property tests can compare the two on
-/// identical inputs (`reproduce fit`'s `symmetric_inverse` section).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum InverseStrategy {
-    /// dpotri-style: invert the triangular factor, form `WᵀW` touching only
-    /// the lower triangle, and run the fused trace pass over that triangle
-    /// (off-diagonal terms doubled) — roughly half the work of the sweeps.
-    Symmetric,
-    /// Two dense triangular sweeps over the identity
-    /// ([`Cholesky::inverse_into`]) and a full-square trace pass — the
-    /// pre-dpotri reference.
-    DenseSweeps,
 }
 
 /// Negative log marginal likelihood (eq. 4) at `hyper`, with the gradient with
@@ -217,54 +152,17 @@ pub(crate) fn nll_and_grad_into(
     jitter: f64,
     scratch: &mut FitScratch,
 ) -> Option<f64> {
-    nll_into(
-        ctx,
-        y,
-        hyper,
-        jitter,
-        scratch,
-        true,
-        InverseStrategy::Symmetric,
-    )
-}
-
-/// Public probe of one NLL/gradient evaluation with an explicit
-/// [`InverseStrategy`] — the entry point `reproduce fit` times and the
-/// equivalence property tests compare.  The gradient is left in
-/// [`FitScratch::grad`].
-///
-/// # Panics
-///
-/// Panics if `y` or `scratch` do not match the context's size and
-/// dimensionality (`scratch` must come from
-/// `FitScratch::new(ctx.len(), ctx.dim())`).
-pub fn nll_and_grad_with(
-    ctx: &FitContext,
-    y: &[f64],
-    hyper: &GpHyperParams,
-    jitter: f64,
-    scratch: &mut FitScratch,
-    strategy: InverseStrategy,
-) -> Option<f64> {
-    assert_eq!(y.len(), ctx.len(), "targets/context length mismatch");
-    assert_eq!(hyper.dim(), ctx.dim(), "hyper/context dimension mismatch");
-    assert_eq!(
-        scratch.residual.len(),
-        ctx.len(),
-        "scratch sized for a different training-set length"
-    );
-    assert_eq!(
-        scratch.inv_sq.len(),
-        ctx.dim(),
-        "scratch sized for a different dimensionality"
-    );
-    nll_into(ctx, y, hyper, jitter, scratch, true, strategy)
+    nll_into(ctx, y, hyper, jitter, scratch, true)
 }
 
 /// [`nll_and_grad_into`] with an optional gradient: `want_grad = false` stops
 /// after the likelihood (one factorization + one solve), skipping the dense
 /// `O(N³)` inverse and the fused trace pass — the mode used by warm-start
 /// anchor checks and end-of-descent evaluations, which only read the scalar.
+///
+/// The inverse is computed dpotri-style
+/// ([`Cholesky::symmetric_inverse_into`]: triangular inverse, then `WᵀW` on
+/// the lower triangle), and the trace pass visits that triangle only.
 pub(crate) fn nll_into(
     ctx: &FitContext,
     y: &[f64],
@@ -272,7 +170,6 @@ pub(crate) fn nll_into(
     jitter: f64,
     scratch: &mut FitScratch,
     want_grad: bool,
-    strategy: InverseStrategy,
 ) -> Option<f64> {
     let n = ctx.len();
     let dim = ctx.dim();
@@ -317,62 +214,31 @@ pub(crate) fn nll_into(
     // Gradient: dL/dθ = ½ tr((K⁻¹ - α αᵀ) ∂K/∂θ), with
     //   ∂K/∂log σf = 2 K,   ∂K/∂log l_d = K ∘ (x_·d − x_·d)² / l_d²,
     //   ∂K/∂log σn = 2 σn² I,   dL/dµ0 = -Σ α.
+    // Every matrix in the trace — K⁻¹, ααᵀ, K, the squared differences — is
+    // symmetric, so the fused pass visits only `j < i`, doubling those
+    // terms, plus the diagonal (whose squared differences are zero, so it
+    // contributes to the signal term alone).
     let mut g_signal = 0.0;
     grad.fill(0.0);
     ls_grad.fill(0.0);
-    match strategy {
-        InverseStrategy::Symmetric => {
-            // Every matrix in the trace — K⁻¹, ααᵀ, K, the squared
-            // differences — is symmetric, so the fused pass visits only
-            // `j < i`, doubling those terms, plus the diagonal (whose squared
-            // differences are zero, so it contributes to the signal term
-            // alone).
-            chol.symmetric_inverse_into(k_inv, k_inv_work);
-            for i in 0..n {
-                let kinv_row = k_inv.row(i);
-                let gram_row = gram.row(i);
-                let ai = alpha[i];
-                let mut row_signal = 0.0;
-                for j in 0..i {
-                    let m = kinv_row[j] - ai * alpha[j];
-                    let mg = m * gram_row[j];
-                    row_signal += mg;
-                    row_mg[j] = mg;
-                }
-                nnbo_linalg::add_scaled_sq_diffs(ls_grad, &ctx.x, i, &row_mg[..i], inv_sq);
-                let m_diag = kinv_row[i] - ai * ai;
-                g_signal += 2.0 * (2.0 * row_signal + m_diag * gram_row[i]);
-            }
-            for g in ls_grad.iter_mut() {
-                *g *= 2.0;
-            }
+    chol.symmetric_inverse_into(k_inv, k_inv_work);
+    for i in 0..n {
+        let kinv_row = k_inv.row(i);
+        let gram_row = gram.row(i);
+        let ai = alpha[i];
+        let mut row_signal = 0.0;
+        for j in 0..i {
+            let m = kinv_row[j] - ai * alpha[j];
+            let mg = m * gram_row[j];
+            row_signal += mg;
+            row_mg[j] = mg;
         }
-        InverseStrategy::DenseSweeps => {
-            chol.inverse_into(k_inv);
-            // The Gram build wrote the lower triangle only.
-            for i in 0..n {
-                for j in 0..i {
-                    gram[(j, i)] = gram[(i, j)];
-                }
-            }
-            for i in 0..n {
-                let kinv_row = k_inv.row(i);
-                let gram_row = gram.row(i);
-                let ai = alpha[i];
-                let xi = ctx.x.row(i);
-                for j in 0..n {
-                    let m = kinv_row[j] - ai * alpha[j];
-                    let mg = m * gram_row[j];
-                    g_signal += 2.0 * mg;
-                    let xj = ctx.x.row(j);
-                    for (((g, &w), &a), &b) in ls_grad.iter_mut().zip(inv_sq.iter()).zip(xi).zip(xj)
-                    {
-                        let diff = a - b;
-                        *g += mg * w * (diff * diff);
-                    }
-                }
-            }
-        }
+        nnbo_linalg::add_scaled_sq_diffs(ls_grad, &ctx.x, i, &row_mg[..i], inv_sq);
+        let m_diag = kinv_row[i] - ai * ai;
+        g_signal += 2.0 * (2.0 * row_signal + m_diag * gram_row[i]);
+    }
+    for g in ls_grad.iter_mut() {
+        *g *= 2.0;
     }
     let noise_var = hyper.noise_variance();
     let mut g_noise = 0.0;
@@ -430,16 +296,7 @@ fn run_adam(
     }
     hyper = GpHyperParams::from_flat(&flat, dim);
     hyper.clamp(config.min_log_noise);
-    nll_into(
-        ctx,
-        y,
-        &hyper,
-        config.jitter,
-        scratch,
-        false,
-        InverseStrategy::Symmetric,
-    )
-    .map(|nll| (nll, hyper))
+    nll_into(ctx, y, &hyper, config.jitter, scratch, false).map(|nll| (nll, hyper))
 }
 
 /// Cold path: multi-restart Adam from the standard initial point plus
@@ -492,18 +349,8 @@ pub(crate) fn optimize_hypers<R: Rng + ?Sized>(
             start.clamp(config.min_log_noise);
             let grad_tol = (config.warm_grad_tol > 0.0).then_some(config.warm_grad_tol);
             let warm_result = run_adam(ctx, y, config, start, config.warm_iters, grad_tol, scratch);
-            let anchor = {
-                let standard = GpHyperParams::standard(dim);
-                nll_into(
-                    ctx,
-                    y,
-                    &standard,
-                    config.jitter,
-                    scratch,
-                    false,
-                    InverseStrategy::Symmetric,
-                )
-            };
+            let standard = GpHyperParams::standard(dim);
+            let anchor = nll_into(ctx, y, &standard, config.jitter, scratch, false);
             match (&warm_result, anchor) {
                 (Some((warm_nll, _)), Some(anchor_nll)) if *warm_nll <= anchor_nll => {
                     let (nll, hyper) = warm_result.expect("matched Some above");
@@ -531,11 +378,7 @@ pub(crate) fn optimize_hypers<R: Rng + ?Sized>(
 
 /// Initial hyper-parameters of restart `restart` (the first restart uses the
 /// deterministic standard point; later ones draw from `rng`).
-pub(crate) fn initial_hyper<R: Rng + ?Sized>(
-    dim: usize,
-    restart: usize,
-    rng: &mut R,
-) -> GpHyperParams {
+fn initial_hyper<R: Rng + ?Sized>(dim: usize, restart: usize, rng: &mut R) -> GpHyperParams {
     if restart == 0 {
         GpHyperParams::standard(dim)
     } else {
@@ -686,28 +529,6 @@ mod tests {
         v.iter().map(|x| x.to_bits()).collect()
     }
 
-    /// The Gram matrix's lower triangle (with the diagonal), the NLL and the
-    /// gradient of `ctx` at a fixed point, as bit patterns.
-    fn fit_bits(ctx: &FitContext) -> (Vec<u64>, Option<(u64, Vec<u64>)>) {
-        let (n, dim) = (ctx.len(), ctx.dim());
-        let mut scratch = FitScratch::new(n, dim);
-        let nll = nll_and_grad_with(
-            ctx,
-            &targets(n),
-            &hyper(dim, -3.0),
-            1e-10,
-            &mut scratch,
-            InverseStrategy::Symmetric,
-        );
-        let lower: Vec<f64> = (0..n)
-            .flat_map(|i| scratch.gram.row(i)[..=i].to_vec())
-            .collect();
-        (
-            bits(&lower),
-            nll.map(|nll| (nll.to_bits(), bits(&scratch.grad))),
-        )
-    }
-
     #[test]
     fn pairwise_kernels_match_the_tensor_reference_bit_for_bit() {
         for n in [1, 2, 7, 8, 9, 17, 100, 160] {
@@ -718,15 +539,8 @@ mod tests {
                 let reference = TensorReference::new(&x);
                 let ctx = FitContext::new(&x);
                 let mut scratch = FitScratch::new(n, dim);
-                let nll = nll_and_grad_with(
-                    &ctx,
-                    &y,
-                    &h,
-                    1e-10,
-                    &mut scratch,
-                    InverseStrategy::Symmetric,
-                )
-                .unwrap_or_else(|| panic!("N = {n}, D = {dim}: no likelihood"));
+                let nll = nll_and_grad_into(&ctx, &y, &h, 1e-10, &mut scratch)
+                    .unwrap_or_else(|| panic!("N = {n}, D = {dim}: no likelihood"));
                 let (ref_nll, ref_grad) = reference.nll_and_grad(&y, &h, 1e-10).unwrap();
                 assert_eq!(nll.to_bits(), ref_nll.to_bits(), "NLL, N = {n}, D = {dim}");
                 assert_eq!(
@@ -768,14 +582,7 @@ mod tests {
             "the plain factorization must fail"
         );
         let mut scratch = FitScratch::new(24, 5);
-        let nll = nll_and_grad_with(
-            &FitContext::new(&x),
-            &y,
-            &h,
-            1e-10,
-            &mut scratch,
-            InverseStrategy::Symmetric,
-        );
+        let nll = nll_and_grad_into(&FitContext::new(&x), &y, &h, 1e-10, &mut scratch);
         let (ref_nll, ref_grad) = reference.nll_and_grad(&y, &h, 1e-10).unwrap();
         assert_eq!(nll.unwrap().to_bits(), ref_nll.to_bits());
         assert_eq!(bits(&scratch.grad), bits(&ref_grad));
@@ -787,7 +594,6 @@ mod tests {
         let ctx = FitContext::new(&x);
         assert_eq!(ctx.len(), 3);
         assert_eq!(ctx.dim(), 2);
-        assert!(!ctx.is_empty());
         let (inv_sq, sf2) = ([0.7, 1.9], 1.3);
         let mut g = Matrix::zeros(1, 1);
         ctx.gram_into(&inv_sq, sf2, &mut g);
@@ -799,107 +605,6 @@ mod tests {
                 let expect = sf2 * (-0.5 * nnbo_linalg::fused_dot(&swapped, &inv_sq)).exp();
                 assert_eq!(g[(i, j)].to_bits(), expect.to_bits(), "({i},{j})");
             }
-        }
-        // Grown one point at a time, the context gives the same fit.
-        let mut grown = FitContext::new(&Matrix::from_rows(&[x.row(0).to_vec()]));
-        grown.append(x.row(1));
-        grown.append(x.row(2));
-        assert_eq!(fit_bits(&grown), fit_bits(&ctx));
-    }
-
-    #[test]
-    fn incrementally_grown_context_is_bit_identical_to_full_rebuild() {
-        // Grow point by point and compare the Gram matrix, the NLL and the
-        // gradient against a fresh build at every size.
-        let dim = 3;
-        let rows: Vec<Vec<f64>> = (0..23)
-            .map(|i| {
-                (0..dim)
-                    .map(|d| ((i * 7 + d * 13) % 19) as f64 * 0.11 - 1.0)
-                    .collect()
-            })
-            .collect();
-        let mut grown = FitContext::new(&Matrix::from_rows(&rows[..1]));
-        for (k, r) in rows.iter().enumerate().skip(1) {
-            grown.append(r);
-            let fresh = FitContext::new(&Matrix::from_rows(&rows[..=k]));
-            assert_eq!(grown.len(), fresh.len());
-            assert_eq!(fit_bits(&grown), fit_bits(&fresh), "{} points", k + 1);
-        }
-    }
-
-    #[test]
-    fn update_to_appends_on_extension_and_rebuilds_on_change() {
-        let rows: Vec<Vec<f64>> = (0..6)
-            .map(|i| vec![i as f64 * 0.2, 1.0 - i as f64 * 0.1])
-            .collect();
-        let mut ctx = FitContext::new(&Matrix::from_rows(&rows[..4]));
-        // Extension: incremental path.
-        let extended = Matrix::from_rows(&rows);
-        assert!(ctx.update_to(&extended));
-        assert_eq!(ctx.len(), 6);
-        assert_eq!(fit_bits(&ctx), fit_bits(&FitContext::new(&extended)));
-        // A changed prefix forces a rebuild.
-        let mut altered_rows = rows.clone();
-        altered_rows[0][0] += 0.5;
-        let altered = Matrix::from_rows(&altered_rows);
-        assert!(!ctx.update_to(&altered));
-        assert_eq!(fit_bits(&ctx), fit_bits(&FitContext::new(&altered)));
-        // Shrinking also rebuilds.
-        let shorter = Matrix::from_rows(&rows[..3]);
-        assert!(!ctx.update_to(&shorter));
-        assert_eq!(ctx.len(), 3);
-        assert_eq!(fit_bits(&ctx), fit_bits(&FitContext::new(&shorter)));
-    }
-
-    #[test]
-    fn symmetric_and_dense_sweep_strategies_agree() {
-        let x = Matrix::from_rows(
-            &(0..17)
-                .map(|i| {
-                    vec![
-                        i as f64 * 0.07,
-                        ((i * i) % 11) as f64 * 0.09,
-                        1.0 / (1.0 + i as f64),
-                    ]
-                })
-                .collect::<Vec<_>>(),
-        );
-        let y: Vec<f64> = (0..17).map(|i| ((i * 5 % 7) as f64 - 3.0) * 0.4).collect();
-        let ctx = FitContext::new(&x);
-        let hyper = GpHyperParams {
-            log_signal: 0.3,
-            log_lengthscales: vec![-0.4, 0.2, 0.6],
-            log_noise: -2.2,
-            mean: 0.05,
-        };
-        let mut scratch = FitScratch::new(17, 3);
-        let nll_sym = nll_and_grad_with(
-            &ctx,
-            &y,
-            &hyper,
-            1e-10,
-            &mut scratch,
-            InverseStrategy::Symmetric,
-        )
-        .unwrap();
-        let grad_sym = scratch.grad.clone();
-        let nll_dense = nll_and_grad_with(
-            &ctx,
-            &y,
-            &hyper,
-            1e-10,
-            &mut scratch,
-            InverseStrategy::DenseSweeps,
-        )
-        .unwrap();
-        let grad_dense = scratch.grad.clone();
-        assert!(
-            (nll_sym - nll_dense).abs() < 1e-9 * (1.0 + nll_dense.abs()),
-            "nll {nll_sym} vs {nll_dense}"
-        );
-        for (a, b) in grad_sym.iter().zip(grad_dense.iter()) {
-            assert!((a - b).abs() < 1e-7 * (1.0 + b.abs()), "grad {a} vs {b}");
         }
     }
 

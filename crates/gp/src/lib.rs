@@ -42,23 +42,18 @@
 //!   accumulates all lengthscale gradients in one fused pass over
 //!   `(K⁻¹ − ααᵀ) ∘ K` ([`nnbo_linalg::add_scaled_sq_diffs`]), into buffers
 //!   allocated once per output.  Both kernels recompute the squared
-//!   differences in registers from the rows, which the [`FitContext`] holds
-//!   together with their `D × N` transpose — `O(N·D)` memory, shared by all
-//!   outputs, where an `N × N × D` difference tensor would be 7.4 MB at
-//!   `N = 160, D = 36`.  On the AVX-512F tier the two kernels run eight pairs
-//!   (Gram) or eight dimensions (trace) per register and give the same bits
-//!   as the other tiers.  A BO history is append-only, so
-//!   [`FitContext::update_to`] extends the context by `O(N·D)` per new
-//!   observation (`GpModel::fit_multi_warm_cached` exposes the cache slot;
-//!   results are bit-identical either way).
+//!   differences in registers from the rows, which each fit call copies once
+//!   into a context together with their `D × N` transpose — `O(N·D)`
+//!   memory, shared by all outputs, where an `N × N × D` difference tensor
+//!   would be 7.4 MB at `N = 160, D = 36`.  On the AVX-512F tier the two
+//!   kernels run eight pairs (Gram) or eight dimensions (trace) per register
+//!   and give the same bits as the other tiers.
 //! * **Symmetric inverse** — the dominant per-iteration cost is the dense
 //!   `(K + σn²I)⁻¹` the gradient traces against.  It is computed
 //!   dpotri-style ([`nnbo_linalg::Cholesky::symmetric_inverse_into`]:
 //!   triangular inverse, then `WᵀW` on the lower triangle) and the fused
 //!   trace pass mirrors that triangle (off-diagonal terms doubled) — about
-//!   half the work of the dense two-sweep inverse it replaced, which
-//!   survives as [`InverseStrategy::DenseSweeps`] for the
-//!   `reproduce fit` comparison and the equivalence property tests.
+//!   half the work of a dense two-sweep inverse with a full-square trace.
 //! * **Multi-output fit** ([`GpModel::fit_multi`] /
 //!   [`GpModel::fit_multi_warm`]) — the constrained BO loop models the
 //!   objective and every constraint over the *same* designs, so the context
@@ -67,10 +62,6 @@
 //!   seeds are drawn up front, making the result independent of thread
 //!   scheduling and bit-identical to per-output [`GpModel::fit_warm`] calls
 //!   with the derived seeds.
-//!
-//! The pre-context reference implementation survives as
-//! [`GpModel::fit_reference`] so `reproduce fit` can keep measuring the
-//! old-vs-new contrast on identical inputs.
 //!
 //! # The prediction path: packed GEMM + fused `exp`, allocation-free
 //!
@@ -146,7 +137,6 @@ mod kernel;
 mod model;
 
 pub use error::GpError;
-pub use fit::{nll_and_grad_with, FitContext, FitScratch, InverseStrategy};
 pub use hyper::{GpConfig, GpHyperParams};
 pub use kernel::{ArdSquaredExponential, CrossScratch, ScaledRows};
 pub use model::{GpModel, GpPredictScratch, GpPrediction};

@@ -1,7 +1,6 @@
 //! The Gaussian-process regression model (explicit kernel, eq. 3/4 of the paper).
 
 use nnbo_linalg::{Cholesky, Matrix, Standardizer};
-use nnbo_nn::{Adam, Optimizer};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use serde::{Deserialize, Serialize};
@@ -156,7 +155,7 @@ impl GpModel {
     }
 
     /// Fits one GP per target column over the *same* design matrix, sharing
-    /// one [`FitContext`] (the training rows and their transpose) across all
+    /// one fit context (the training rows and their transpose) across all
     /// outputs — the multi-output refit the constrained BO loop performs for
     /// the objective plus every constraint.
     ///
@@ -178,10 +177,10 @@ impl GpModel {
 
     /// Multi-output fitting with per-output warm starts.
     ///
-    /// The shared fit context is built once; each output then runs its own
-    /// hyper-parameter optimization (warm-started where `warm[i]` is given,
-    /// cold otherwise) with per-output Adam state, Cholesky factors and
-    /// gradient buffers.  When more than one output is requested and the
+    /// The shared fit context is built once per call; each output then runs
+    /// its own hyper-parameter optimization (warm-started where `warm[i]` is
+    /// given, cold otherwise) with per-output Adam state, Cholesky factors
+    /// and gradient buffers.  When more than one output is requested and the
     /// machine has more than one core, the per-output optimizations run on
     /// scoped threads.
     ///
@@ -202,31 +201,6 @@ impl GpModel {
         rng: &mut R,
         warm: &[Option<GpHyperParams>],
     ) -> Result<Vec<Self>, GpError> {
-        Self::fit_multi_warm_cached(xs, targets, config, rng, warm, &mut None)
-    }
-
-    /// [`GpModel::fit_multi_warm`] with a caller-held [`FitContext`] cache.
-    ///
-    /// A Bayesian-optimization loop grows its design matrix append-only, so
-    /// the context of refit `t+1` is the context of refit `t` plus one row.
-    /// Passing the same `cache` slot across refits lets the context be
-    /// extended in place ([`FitContext::update_to`], `O(N·D)`) rather than
-    /// rebuilt, which costs the same order since the context holds only the
-    /// rows and their transpose; an extended context equals a fresh one, so
-    /// the fitted models do not depend on the cache.  An empty slot (or a
-    /// slot whose rows do not prefix `xs`) is (re)built in place.
-    ///
-    /// # Errors
-    ///
-    /// Same contract as [`GpModel::fit_multi_warm`].
-    pub fn fit_multi_warm_cached<R: Rng + ?Sized>(
-        xs: &[Vec<f64>],
-        targets: &[Vec<f64>],
-        config: &GpConfig,
-        rng: &mut R,
-        warm: &[Option<GpHyperParams>],
-        cache: &mut Option<FitContext>,
-    ) -> Result<Vec<Self>, GpError> {
         if warm.len() != targets.len() {
             return Err(GpError::InvalidTrainingSet {
                 details: format!(
@@ -243,13 +217,7 @@ impl GpModel {
             validate_training_set(xs, ys)?;
         }
         let x = Matrix::from_rows(xs);
-        match cache {
-            Some(ctx) => {
-                ctx.update_to(&x);
-            }
-            None => *cache = Some(FitContext::new(&x)),
-        }
-        let ctx = cache.as_ref().expect("cache slot filled above");
+        let ctx = &FitContext::new(&x);
         let seeds: Vec<u64> = targets.iter().map(|_| rng.gen()).collect();
 
         let fit_one = |&(ys, seed, prev): &(&Vec<f64>, u64, &Option<GpHyperParams>)| {
@@ -319,79 +287,6 @@ impl GpModel {
 
         Ok(GpModel {
             x: x.clone(),
-            y: y_std,
-            standardizer,
-            hyper,
-            kernel,
-            scaled_x,
-            chol,
-            alpha,
-            jitter,
-            nll,
-        })
-    }
-
-    /// The pre-context reference fit (scalar per-iteration Gram rebuilds and
-    /// materialised `∂K/∂θ` matrices), kept — like
-    /// [`nnbo_linalg::Cholesky::decompose_reference`] — so property tests and
-    /// the `reproduce fit` benchmark can compare the optimized pipeline
-    /// against the path it replaced on identical inputs.
-    ///
-    /// # Errors
-    ///
-    /// Same contract as [`GpModel::fit`].
-    pub fn fit_reference<R: Rng + ?Sized>(
-        xs: &[Vec<f64>],
-        ys: &[f64],
-        config: &GpConfig,
-        rng: &mut R,
-    ) -> Result<Self, GpError> {
-        validate_training_set(xs, ys)?;
-        let dim = xs[0].len();
-        let x = Matrix::from_rows(xs);
-
-        let (y_std, standardizer) = if config.standardize_targets {
-            let (v, s) = nnbo_linalg::standardize(ys);
-            (v, s)
-        } else {
-            (ys.to_vec(), Standardizer::identity())
-        };
-
-        let mut best: Option<(f64, GpHyperParams)> = None;
-        for restart in 0..config.restarts.max(1) {
-            let mut hyper = crate::fit::initial_hyper(dim, restart, rng);
-            let mut adam = Adam::with_learning_rate(config.learning_rate);
-            let mut flat = hyper.to_flat();
-            for _ in 0..config.max_iters {
-                hyper = GpHyperParams::from_flat(&flat, dim);
-                hyper.clamp(config.min_log_noise);
-                flat = hyper.to_flat();
-                let Some((_nll, grad)) = nll_and_grad_reference(&x, &y_std, &hyper, config.jitter)
-                else {
-                    break;
-                };
-                adam.step(&mut flat, &grad);
-            }
-            hyper = GpHyperParams::from_flat(&flat, dim);
-            hyper.clamp(config.min_log_noise);
-            if let Some((nll, _)) = nll_and_grad_reference(&x, &y_std, &hyper, config.jitter) {
-                if nll.is_finite() && best.as_ref().is_none_or(|(b, _)| nll < *b) {
-                    best = Some((nll, hyper.clone()));
-                }
-            }
-        }
-        let (nll, hyper) = best.ok_or(GpError::OptimizationFailed)?;
-
-        let kernel = ArdSquaredExponential::new(hyper.signal_variance(), hyper.lengthscales());
-        let mut k = kernel.gram(&x);
-        k.add_diag(hyper.noise_variance());
-        let (chol, jitter) = Cholesky::decompose_with_jitter(&k, config.jitter, 10)?;
-        let residual: Vec<f64> = y_std.iter().map(|v| v - hyper.mean).collect();
-        let alpha = chol.solve_vec(&residual);
-        let scaled_x = kernel.prepare(&x);
-
-        Ok(GpModel {
-            x,
             y: y_std,
             standardizer,
             hyper,
@@ -658,14 +553,15 @@ pub(crate) fn nll_and_grad(
     nll_and_grad_into(&ctx, y, hyper, jitter, &mut scratch).map(|nll| (nll, scratch.grad.clone()))
 }
 
-/// Negative log marginal likelihood (eq. 4) and its gradient, as computed by
-/// the pre-context reference path: the Gram matrix is rebuilt with the
-/// norm-expansion kernel and every `∂K/∂θ` is materialised as a dense matrix.
-/// Kept for [`GpModel::fit_reference`] and the equivalence tests against the
-/// fused shared-context evaluation.
+/// Negative log marginal likelihood (eq. 4) and its gradient, computed the
+/// direct way as the test oracle for the fused shared-context evaluation: the
+/// Gram matrix is rebuilt with the norm-expansion kernel, the inverse comes
+/// from the dense two-sweep [`Cholesky::inverse`], and every `∂K/∂θ` is
+/// materialised as a dense matrix.
 ///
 /// Returns `None` when the kernel matrix cannot be factored or the likelihood is not
-/// finite, which the optimizer treats as "stop this restart".
+/// finite.
+#[cfg(test)]
 pub(crate) fn nll_and_grad_reference(
     x: &Matrix,
     y: &[f64],
@@ -773,25 +669,47 @@ mod tests {
     #[test]
     fn shared_context_nll_matches_reference_path() {
         let (xs, ys) = toy_data(15, 9);
-        let x = Matrix::from_rows(&xs);
-        let (y_std, _) = nnbo_linalg::standardize(&ys);
-        let hyper = GpHyperParams {
+        let (toy_y, _) = nnbo_linalg::standardize(&ys);
+        let toy_hyper = GpHyperParams {
             log_signal: 0.4,
             log_lengthscales: vec![-0.6, 0.2],
             log_noise: -2.5,
             mean: -0.2,
         };
-        let (nll_ctx, grad_ctx) = nll_and_grad(&x, &y_std, &hyper, 1e-10).unwrap();
-        let (nll_ref, grad_ref) = nll_and_grad_reference(&x, &y_std, &hyper, 1e-10).unwrap();
-        assert!(
-            (nll_ctx - nll_ref).abs() < 1e-8 * (1.0 + nll_ref.abs()),
-            "nll {nll_ctx} vs reference {nll_ref}"
-        );
-        for (a, b) in grad_ctx.iter().zip(grad_ref.iter()) {
+        // 17 irregular points in three dimensions, with raw targets.
+        let irregular: Vec<Vec<f64>> = (0..17)
+            .map(|i| {
+                vec![
+                    i as f64 * 0.07,
+                    ((i * i) % 11) as f64 * 0.09,
+                    1.0 / (1.0 + i as f64),
+                ]
+            })
+            .collect();
+        let irregular_y: Vec<f64> = (0..17).map(|i| ((i * 5 % 7) as f64 - 3.0) * 0.4).collect();
+        let irregular_hyper = GpHyperParams {
+            log_signal: 0.3,
+            log_lengthscales: vec![-0.4, 0.2, 0.6],
+            log_noise: -2.2,
+            mean: 0.05,
+        };
+        for (xs, y, hyper) in [
+            (xs, toy_y, toy_hyper),
+            (irregular, irregular_y, irregular_hyper),
+        ] {
+            let x = Matrix::from_rows(&xs);
+            let (nll_ctx, grad_ctx) = nll_and_grad(&x, &y, &hyper, 1e-10).unwrap();
+            let (nll_ref, grad_ref) = nll_and_grad_reference(&x, &y, &hyper, 1e-10).unwrap();
             assert!(
-                (a - b).abs() < 1e-7 * (1.0 + b.abs()),
-                "grad {a} vs reference {b}"
+                (nll_ctx - nll_ref).abs() < 1e-8 * (1.0 + nll_ref.abs()),
+                "nll {nll_ctx} vs reference {nll_ref}"
             );
+            for (a, b) in grad_ctx.iter().zip(grad_ref.iter()) {
+                assert!(
+                    (a - b).abs() < 1e-7 * (1.0 + b.abs()),
+                    "grad {a} vs reference {b}"
+                );
+            }
         }
     }
 

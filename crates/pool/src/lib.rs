@@ -94,6 +94,11 @@ struct BatchCore {
     /// The owning pool's poisoned-lock counter (shared so the free
     /// functions working a batch can count recoveries too).
     poisonings: Arc<AtomicUsize>,
+    /// The owning pool's executed-task counter.  `run_one` bumps it before
+    /// the `AcqRel` decrement of `remaining`, which the submitter acquires
+    /// before `run_batch` returns, so the returned call has counted all of
+    /// its tasks.
+    executed: Arc<AtomicUsize>,
 }
 
 impl BatchCore {
@@ -115,6 +120,7 @@ impl BatchCore {
                 std::mem::forget(nested);
             }
         }
+        self.executed.fetch_add(1, Ordering::Relaxed);
         if self.remaining.fetch_sub(1, Ordering::AcqRel) == 1 {
             let mut done = recover_lock(&self.done, &self.poisonings);
             *done = true;
@@ -163,7 +169,8 @@ pub struct PoolStats {
 
 struct Counters {
     jobs_executed: AtomicUsize,
-    batch_tasks_executed: AtomicUsize,
+    /// Behind an `Arc` so each `BatchCore` can hold a handle to it.
+    batch_tasks_executed: Arc<AtomicUsize>,
     job_panics: AtomicUsize,
     worker_restarts: AtomicUsize,
     restart_budget_exhausted: AtomicUsize,
@@ -175,7 +182,7 @@ impl Counters {
     fn new() -> Self {
         Counters {
             jobs_executed: AtomicUsize::new(0),
-            batch_tasks_executed: AtomicUsize::new(0),
+            batch_tasks_executed: Arc::new(AtomicUsize::new(0)),
             job_panics: AtomicUsize::new(0),
             worker_restarts: AtomicUsize::new(0),
             restart_budget_exhausted: AtomicUsize::new(0),
@@ -373,6 +380,7 @@ impl WorkerPool {
             done: Mutex::new(false),
             done_cv: Condvar::new(),
             poisonings: Arc::clone(&self.inner.counters.lock_poisonings),
+            executed: Arc::clone(&self.inner.counters.batch_tasks_executed),
         });
         if self.inner.workers > 0 && n > 1 {
             let mut injector = self.lock_injector();
@@ -382,12 +390,7 @@ impl WorkerPool {
         }
         // The submitting thread works the batch too — claiming tasks back
         // from the pool until none remain — then waits out the stragglers.
-        while batch.run_one() {
-            self.inner
-                .counters
-                .batch_tasks_executed
-                .fetch_add(1, Ordering::Relaxed);
-        }
+        while batch.run_one() {}
         wait_batch(&batch);
         let payload = recover_lock(&batch.panic, &batch.poisonings).take();
         if let Some(payload) = payload {
@@ -559,10 +562,6 @@ fn worker_loop(inner: &Arc<PoolInner>) -> WorkerExit {
             }
             Work::Batch(batch) => {
                 if batch.run_one() {
-                    inner
-                        .counters
-                        .batch_tasks_executed
-                        .fetch_add(1, Ordering::Relaxed);
                     // More tasks may remain: re-inject the handle so other
                     // idle workers converge on this batch too, then keep
                     // draining it ourselves (cheaper than one injector trip
@@ -576,12 +575,7 @@ fn worker_loop(inner: &Arc<PoolInner>) -> WorkerExit {
                         drop(injector);
                         inner.work_cv.notify_one();
                     }
-                    while batch.run_one() {
-                        inner
-                            .counters
-                            .batch_tasks_executed
-                            .fetch_add(1, Ordering::Relaxed);
-                    }
+                    while batch.run_one() {}
                 }
             }
         }
@@ -616,6 +610,30 @@ mod tests {
             assert_eq!(*v, i / 7 + 1, "element {i}");
         }
         assert_eq!(pool.stats().batch_tasks_executed, 64usize.div_ceil(7));
+    }
+
+    #[test]
+    fn run_batch_returns_with_every_task_counted() {
+        // Workers finish tasks while the submitter waits, so the last task to
+        // complete is often a worker's: its count must land before the latch
+        // releases the submitter.
+        let pool = WorkerPool::new(3);
+        let batches = 20_000;
+        let mut short = 0;
+        for b in 1..=batches {
+            let tasks: Vec<Box<dyn FnOnce() + Send + '_>> = (0..4)
+                .map(|_| Box::new(|| {}) as Box<dyn FnOnce() + Send + '_>)
+                .collect();
+            pool.run_batch(tasks);
+            if pool.stats().batch_tasks_executed < 4 * b {
+                short += 1;
+            }
+        }
+        assert_eq!(
+            short, 0,
+            "{short} of {batches} batches returned under-counted"
+        );
+        assert_eq!(pool.stats().batch_tasks_executed, 4 * batches);
     }
 
     #[test]
