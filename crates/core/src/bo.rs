@@ -575,8 +575,13 @@ impl<T: SurrogateTrainer> BayesOpt<T> {
     /// The snapshot records everything [`BayesOpt::resume`] needs to continue
     /// the run *bit-identically*: the evaluation history, the exact rng
     /// stream position, the fitted surrogates (serialized through the
-    /// self-describing value tree, which round-trips every `f64` exactly),
-    /// the refit-policy bookkeeping and the recovery log.
+    /// self-describing value tree), the refit-policy bookkeeping and the
+    /// recovery log.  Through [`BoSnapshot::to_json`] and
+    /// [`BoSnapshot::from_json`] every finite `f64` in it round-trips bit for
+    /// bit, as the shortest digits that parse back to the same bits.  NaN
+    /// and ±inf (an infinite [`RefitPolicy::NllDrift`] threshold, say) are
+    /// written as the strings `"NaN"`, `"inf"` and `"-inf"` and read back as
+    /// NaN and ±inf.
     pub fn snapshot(&self, state: &BoState<T::Model>) -> BoSnapshot
     where
         T::Model: Serialize,
@@ -1239,7 +1244,8 @@ const SNAPSHOT_VERSION: u32 = 2;
 /// [`BayesOpt::snapshot`] and [`BayesOpt::resume`].
 ///
 /// Serialize it with [`BoSnapshot::to_json`] (every finite `f64`
-/// round-trips bit-exactly) or through the `serde` value tree directly.
+/// round-trips bit-exactly, NaN and ±inf round-trip as themselves) or
+/// through the `serde` value tree directly.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct BoSnapshot {
     version: u32,

@@ -95,7 +95,7 @@ impl NeuralGpConfig {
 /// The model serializes (all state is plain data — network weights, the
 /// Cholesky factor, sufficient statistics), which is what lets the
 /// optimization loop checkpoint and resume bit-identically.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone, Serialize)]
 pub struct NeuralGp {
     mlp: Mlp,
     log_noise: f64,
@@ -118,6 +118,38 @@ pub struct NeuralGp {
     /// factorization) — the per-model recovery record
     /// [`crate::SurrogateModel::resilience`] reports.
     fit_jitter: f64,
+}
+
+/// Checks what prediction and the incremental update rely on: the factor of
+/// `A`, `α` and `v` are all as wide as the network's feature layer.
+impl<'de> Deserialize<'de> for NeuralGp {
+    fn from_value(value: &serde::Value) -> Result<Self, serde::DeError> {
+        let entries = value
+            .as_map()
+            .ok_or_else(|| serde::DeError::expected("map for struct NeuralGp"))?;
+        let model = NeuralGp {
+            mlp: serde::from_field(entries, "mlp", "NeuralGp")?,
+            log_noise: serde::from_field(entries, "log_noise", "NeuralGp")?,
+            log_prior: serde::from_field(entries, "log_prior", "NeuralGp")?,
+            chol: serde::from_field(entries, "chol", "NeuralGp")?,
+            alpha: serde::from_field(entries, "alpha", "NeuralGp")?,
+            v: serde::from_field(entries, "v", "NeuralGp")?,
+            yty: serde::from_field(entries, "yty", "NeuralGp")?,
+            standardizer: serde::from_field(entries, "standardizer", "NeuralGp")?,
+            train_size: serde::from_field(entries, "train_size", "NeuralGp")?,
+            final_nll: serde::from_field(entries, "final_nll", "NeuralGp")?,
+            fit_jitter: serde::from_field(entries, "fit_jitter", "NeuralGp")?,
+        };
+        let m = model.mlp.output_dim();
+        let widths = (model.chol.dim(), model.alpha.len(), model.v.len());
+        if widths != (m, m, m) {
+            return Err(serde::DeError::new(format!(
+                "NeuralGp with {m} features holds a {}-wide factor, {} α and {} v values",
+                widths.0, widths.1, widths.2
+            )));
+        }
+        Ok(model)
+    }
 }
 
 /// Reusable buffers of one training descent: the flat `[log σn, log σp,

@@ -10,11 +10,36 @@ use crate::Activation;
 ///
 /// Weights are stored as an `out x in` matrix so a batched forward pass over an
 /// `N x in` input matrix is `X Wᵀ + b` (row-wise).
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Serialize)]
 pub struct DenseLayer {
     weights: Matrix,
     bias: Vec<f64>,
     activation: Activation,
+}
+
+/// Checks what the forward and backward passes rely on: one bias per weight
+/// row.
+impl<'de> Deserialize<'de> for DenseLayer {
+    fn from_value(value: &serde::Value) -> Result<Self, serde::DeError> {
+        let entries = value
+            .as_map()
+            .ok_or_else(|| serde::DeError::expected("map for struct DenseLayer"))?;
+        let weights: Matrix = serde::from_field(entries, "weights", "DenseLayer")?;
+        let bias: Vec<f64> = serde::from_field(entries, "bias", "DenseLayer")?;
+        let activation = serde::from_field(entries, "activation", "DenseLayer")?;
+        if bias.len() != weights.nrows() {
+            return Err(serde::DeError::new(format!(
+                "DenseLayer with {} outputs holds {} biases",
+                weights.nrows(),
+                bias.len()
+            )));
+        }
+        Ok(DenseLayer {
+            weights,
+            bias,
+            activation,
+        })
+    }
 }
 
 /// Gradient of a loss with respect to one [`DenseLayer`]'s parameters.

@@ -123,10 +123,45 @@ impl MlpGradient {
 /// In this workspace the MLP is used as a *feature map* `φ: R^d → R^M`: the output
 /// of the network is not a prediction by itself but the feature vector that defines
 /// the Gaussian-process kernel of the paper's surrogate model.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Serialize)]
 pub struct Mlp {
     config: MlpConfig,
     layers: Vec<DenseLayer>,
+}
+
+/// Checks what the passes through the network rely on: one layer per width
+/// step of the config, each mapping the previous width to the next.
+impl<'de> Deserialize<'de> for Mlp {
+    fn from_value(value: &serde::Value) -> Result<Self, serde::DeError> {
+        let entries = value
+            .as_map()
+            .ok_or_else(|| serde::DeError::expected("map for struct Mlp"))?;
+        let config: MlpConfig = serde::from_field(entries, "config", "Mlp")?;
+        let layers: Vec<DenseLayer> = serde::from_field(entries, "layers", "Mlp")?;
+        let widths: Vec<usize> = std::iter::once(config.input_dim)
+            .chain(config.hidden_dims.iter().copied())
+            .chain(std::iter::once(config.output_dim))
+            .collect();
+        if layers.len() + 1 != widths.len() {
+            return Err(serde::DeError::new(format!(
+                "Mlp config has {} layers, the payload {}",
+                widths.len() - 1,
+                layers.len()
+            )));
+        }
+        for (i, (layer, pair)) in layers.iter().zip(widths.windows(2)).enumerate() {
+            if (layer.input_dim(), layer.output_dim()) != (pair[0], pair[1]) {
+                return Err(serde::DeError::new(format!(
+                    "Mlp layer {i} maps {} to {} values, its config {} to {}",
+                    layer.input_dim(),
+                    layer.output_dim(),
+                    pair[0],
+                    pair[1]
+                )));
+            }
+        }
+        Ok(Mlp { config, layers })
+    }
 }
 
 impl Mlp {

@@ -66,7 +66,8 @@ pub trait StoreIo: fmt::Debug + Send + Sync {
     fn list(&self, dir: &Path) -> io::Result<Vec<String>>;
     /// Removes `path`; removing a missing file is an `Ok` no-op.
     fn remove_file(&self, path: &Path) -> io::Result<()>;
-    /// Whether `path` currently exists.
+    /// Whether `path` currently exists; an error when that cannot be told,
+    /// e.g. because a component of `path` is not a directory.
     fn exists(&self, path: &Path) -> io::Result<bool>;
 }
 
@@ -120,7 +121,7 @@ impl StoreIo for StdIo {
     }
 
     fn exists(&self, path: &Path) -> io::Result<bool> {
-        Ok(path.exists())
+        path.try_exists()
     }
 }
 
@@ -505,6 +506,18 @@ mod tests {
         io.remove_file(&q).unwrap();
         io.remove_file(&q).unwrap(); // missing is fine
         assert!(!io.exists(&q).unwrap());
+        let _ = fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn std_io_exists_reports_a_failed_stat_instead_of_absence() {
+        let dir = scratch("exists");
+        let file = dir.join("file");
+        StdIo.write(&file, b"x").unwrap();
+        let err = StdIo
+            .exists(&file.join("below"))
+            .expect_err("a path below a regular file cannot be stat'ed");
+        assert_eq!(err.kind(), io::ErrorKind::NotADirectory);
         let _ = fs::remove_dir_all(&dir);
     }
 
