@@ -26,7 +26,9 @@ use nnbo_core::{
     OptimizationResult, Problem, SuggestStrategy,
 };
 
-/// Serialises the tests that flip the process-wide kernel dispatch override.
+/// Serialises the test that flips the process-wide kernel dispatch override
+/// with every test that compares two runs: a run overlapping a flip would
+/// mix two kernel tiers, whose results differ in the last bits.
 static DISPATCH_LOCK: Mutex<()> = Mutex::new(());
 
 /// Restores the vectorised dispatch default even when a test panics.
@@ -121,6 +123,7 @@ fn every_strategy_stays_inside_the_unit_cube_with_finite_values() {
 /// share the seeded initial design exactly, then genuinely search differently.
 #[test]
 fn the_strategy_seam_only_changes_the_model_guided_phase() {
+    let _lock = DISPATCH_LOCK.lock().unwrap_or_else(|p| p.into_inner());
     let problem = ConstrainedBranin::new();
     let full = weibo_fast(bo_config(29)).run(&problem).unwrap();
     let line = lineasybo_fast(bo_config(29)).run(&problem).unwrap();
@@ -219,6 +222,7 @@ fn imputed_points_are_never_reported_as_the_optimum() {
 /// uninterrupted run, for every strategy, using its own snapshot format.
 #[test]
 fn mid_run_snapshots_resume_bit_identically_for_every_strategy() {
+    let _lock = DISPATCH_LOCK.lock().unwrap_or_else(|p| p.into_inner());
     let problem = ConstrainedBranin::new();
 
     // WEIBO and LinEasyBO share the BoSnapshot path.

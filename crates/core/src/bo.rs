@@ -951,9 +951,10 @@ impl<T: SurrogateTrainer> BayesOpt<T> {
     /// Full fits go through [`SurrogateTrainer::fit_many`], handing the
     /// trainer every output (objective plus constraints) in one call so
     /// shareable fit structure is computed once and the per-output training
-    /// can run on scoped threads; the previous refit's surrogates are passed
-    /// along for trainers that warm-start (the classical GP's
-    /// hyper-parameters, the neural ensemble's member networks).
+    /// can run in bands on the shared worker pool; the previous refit's
+    /// surrogates are passed along for trainers that warm-start (the
+    /// classical GP's hyper-parameters, the neural ensemble's member
+    /// networks).
     fn refresh_models(
         &self,
         problem: &dyn Problem,
@@ -1299,34 +1300,29 @@ struct ModelSnapshot {
     fit_nll_per_point: Option<f64>,
 }
 
-/// Prediction buffers reused across the acquisition scoring of every loop
-/// iteration (one vector per modelled output, plus per-band buffers for the
-/// worker-pool split and the per-candidate acquisition values), so the
-/// batched prediction path writes into stable allocations.
+/// Scoring buffers reused across the acquisition scoring of every loop
+/// iteration, so the batched prediction path writes into stable
+/// allocations.
 struct ScoreBuffers {
-    objective: Vec<crate::surrogate::Prediction>,
-    constraints: Vec<Vec<crate::surrogate::Prediction>>,
     /// Acquisition value of every candidate, in candidate order.
     acquisition: Vec<f64>,
-    /// Per-band prediction buffers of the parallel scoring path (empty until
-    /// a multi-band scoring pass runs).
+    /// Prediction buffers of each scoring band (one band scores inline).
     bands: Vec<BandBuffers>,
 }
 
 impl ScoreBuffers {
     fn new() -> Self {
         ScoreBuffers {
-            objective: Vec::new(),
-            constraints: Vec::new(),
             acquisition: Vec::new(),
             bands: Vec::new(),
         }
     }
 }
 
-/// One scoring band's private prediction buffers: each band predicts its
-/// contiguous candidate chunk into its own vectors, so the parallel split
-/// shares nothing but the disjoint acquisition output slices.
+/// One scoring band's private prediction buffers (one vector per modelled
+/// output): each band predicts its contiguous candidate chunk into its own
+/// vectors, so the banded split shares nothing but the disjoint acquisition
+/// output slices.
 #[derive(Default)]
 struct BandBuffers {
     objective: Vec<crate::surrogate::Prediction>,
@@ -1375,8 +1371,7 @@ fn score_bands(n: usize) -> usize {
         return 1;
     }
     nnbo_pool::WorkerPool::global()
-        .participants()
-        .min(8)
+        .fan_out()
         .min(n / PARALLEL_SCORE_BAND_MIN)
         .max(1)
 }
@@ -1385,14 +1380,14 @@ fn score_bands(n: usize) -> usize {
 /// `scores.acquisition` with one acquisition value per candidate (in
 /// candidate order).
 ///
-/// `bands <= 1` is the sequential reference: one full-batch prediction per
-/// surrogate, then a sequential acquisition sweep.  `bands > 1` splits the
-/// candidate set into contiguous chunks fanned out over
-/// [`nnbo_pool::WorkerPool::global`]; every band predicts its chunk into
-/// its own [`BandBuffers`] and writes its disjoint slice of the acquisition
-/// output.  Because [`SurrogateModel::predict_batch_into`] is contractually
-/// per-point (overrides must write exactly what per-point `predict` calls
-/// would), chunked prediction — and therefore the whole banded path — is
+/// The candidates are split into at most `bands` contiguous chunks, each
+/// predicted into its own [`BandBuffers`] and scored into its disjoint
+/// slice of the acquisition output.  One band (`bands <= 1`, or fewer than
+/// two candidates) is the sequential reference and runs inline; more run as
+/// one [`nnbo_pool::WorkerPool::global`] batch task each.  Because
+/// [`SurrogateModel::predict_batch_into`] is contractually per-point
+/// (overrides must write exactly what per-point `predict` calls would),
+/// chunked prediction — and therefore the whole banded path — is
 /// **bit-identical** to the sequential reference, which the loop's tests
 /// pin at forced band counts.
 fn score_candidates<M: SurrogateModel>(
@@ -1406,54 +1401,40 @@ fn score_candidates<M: SurrogateModel>(
     let n = candidates.len();
     scores.acquisition.clear();
     scores.acquisition.resize(n, f64::NEG_INFINITY);
-    if bands <= 1 || n < 2 {
-        fitted
-            .objective
-            .predict_batch_into(candidates, &mut scores.objective);
-        scores
-            .constraints
-            .resize_with(fitted.constraints.len(), Vec::new);
-        for (model, preds) in fitted.constraints.iter().zip(scores.constraints.iter_mut()) {
-            model.predict_batch_into(candidates, preds);
-        }
-        let mut constraint_buf = Vec::with_capacity(scores.constraints.len());
-        for (idx, objective_pred) in scores.objective.iter().enumerate() {
-            constraint_buf.clear();
-            constraint_buf.extend(scores.constraints.iter().map(|preds| preds[idx]));
-            scores.acquisition[idx] =
-                acquisition::evaluate(kind, objective_pred, &constraint_buf, tau);
-        }
-        return;
-    }
-
-    let chunk = n.div_ceil(bands);
-    let n_bands = n.div_ceil(chunk);
+    let chunk = n.div_ceil(bands.max(1)).max(1);
+    let n_bands = n.div_ceil(chunk).max(1);
     if scores.bands.len() < n_bands {
         scores.bands.resize_with(n_bands, BandBuffers::default);
     }
-    let mut tasks: Vec<Box<dyn FnOnce() + Send + '_>> = Vec::with_capacity(n_bands);
-    for ((chunk_xs, out), band) in candidates
+    let score_band = |chunk_xs: &[Vec<f64>], out: &mut [f64], band: &mut BandBuffers| {
+        fitted
+            .objective
+            .predict_batch_into(chunk_xs, &mut band.objective);
+        band.constraints
+            .resize_with(fitted.constraints.len(), Vec::new);
+        for (model, preds) in fitted.constraints.iter().zip(band.constraints.iter_mut()) {
+            model.predict_batch_into(chunk_xs, preds);
+        }
+        let mut constraint_buf = Vec::with_capacity(band.constraints.len());
+        for (idx, objective_pred) in band.objective.iter().enumerate() {
+            constraint_buf.clear();
+            constraint_buf.extend(band.constraints.iter().map(|preds| preds[idx]));
+            out[idx] = acquisition::evaluate(kind, objective_pred, &constraint_buf, tau);
+        }
+    };
+    if n_bands == 1 {
+        score_band(candidates, &mut scores.acquisition, &mut scores.bands[0]);
+        return;
+    }
+    let score_band = &score_band;
+    let tasks: Vec<Box<dyn FnOnce() + Send + '_>> = candidates
         .chunks(chunk)
         .zip(scores.acquisition.chunks_mut(chunk))
         .zip(scores.bands.iter_mut())
-    {
-        tasks.push(Box::new(move || {
-            fitted
-                .objective
-                .predict_batch_into(chunk_xs, &mut band.objective);
-            band.constraints
-                .resize_with(fitted.constraints.len(), Vec::new);
-            for (model, preds) in fitted.constraints.iter().zip(band.constraints.iter_mut()) {
-                model.predict_batch_into(chunk_xs, preds);
-            }
-            let mut constraint_buf = Vec::with_capacity(band.constraints.len());
-            for (idx, objective_pred) in band.objective.iter().enumerate() {
-                constraint_buf.clear();
-                constraint_buf.extend(band.constraints.iter().map(|preds| preds[idx]));
-                out[idx] = acquisition::evaluate(kind, objective_pred, &constraint_buf, tau);
-            }
-        }));
-    }
+        .map(|((chunk_xs, out), band)| {
+            Box::new(move || score_band(chunk_xs, out, band)) as Box<dyn FnOnce() + Send + '_>
+        })
+        .collect();
     nnbo_pool::WorkerPool::global().run_batch(tasks);
 }
 
@@ -1536,6 +1517,45 @@ mod tests {
         let bands = score_bands(1280);
         assert!((1..=8).contains(&bands));
         assert!(bands <= 1280 / PARALLEL_SCORE_BAND_MIN);
+    }
+
+    #[test]
+    fn untrainable_ensembles_fall_back_instead_of_aborting_the_run() {
+        let fast = EnsembleConfig::fast();
+        let untrainable = [
+            EnsembleConfig {
+                members: 0,
+                ..fast.clone()
+            },
+            EnsembleConfig {
+                member_config: crate::NeuralGpConfig {
+                    feature_dim: 0,
+                    ..fast.member_config.clone()
+                },
+                ..fast.clone()
+            },
+            EnsembleConfig {
+                member_config: crate::NeuralGpConfig {
+                    hidden_dims: vec![0, 8],
+                    ..fast.member_config.clone()
+                },
+                ..fast.clone()
+            },
+        ];
+        for config in untrainable {
+            for parallel in [false, true] {
+                let config = EnsembleConfig {
+                    parallel,
+                    ..config.clone()
+                };
+                let bo = BayesOpt::neural_with(BoConfig::fast(4, 7).with_seed(1), config.clone());
+                let result = bo
+                    .run(&ConstrainedBranin::new())
+                    .unwrap_or_else(|e| panic!("{config:?}: {e}"));
+                assert_eq!(result.num_evaluations(), 7, "{config:?}");
+                assert_eq!(result.recovery().fallback_suggests, 3, "{config:?}");
+            }
+        }
     }
 
     #[test]

@@ -14,8 +14,10 @@ pub struct EnsembleConfig {
     pub members: usize,
     /// Configuration of each member.
     pub member_config: NeuralGpConfig,
-    /// Train the members on separate threads (the paper notes the ensemble can be
-    /// constructed in parallel).
+    /// Train the members in bands on the shared worker pool (the paper notes
+    /// the ensemble can be constructed in parallel); `false` trains them in
+    /// one band on the calling thread.  The trained members are the same
+    /// either way.
     pub parallel: bool,
 }
 
@@ -75,7 +77,9 @@ impl NeuralGpEnsemble {
     /// # Errors
     ///
     /// Returns the first member's error message if every member fails to train; as
-    /// long as at least one member trains the ensemble is usable.
+    /// long as at least one member trains the ensemble is usable.  With
+    /// `config.members == 0` nothing trains, and the error is
+    /// `"no ensemble member trained"`.
     pub fn fit(
         xs: &[Vec<f64>],
         ys: &[f64],
@@ -106,7 +110,6 @@ impl NeuralGpEnsemble {
         rng: &mut StdRng,
         prev: Option<&NeuralGpEnsemble>,
     ) -> Result<Self, String> {
-        assert!(config.members > 0, "ensemble needs at least one member");
         let seeds: Vec<u64> = (0..config.members).map(|_| rng.gen()).collect();
         Self::fit_with_seeds(xs, ys, config, &seeds, prev)
     }
@@ -124,7 +127,6 @@ impl NeuralGpEnsemble {
         seeds: &[u64],
         prev: Option<&NeuralGpEnsemble>,
     ) -> Result<Self, String> {
-        assert!(!seeds.is_empty(), "ensemble needs at least one member");
         let jobs: Vec<MemberJob<'_>> = seeds
             .iter()
             .enumerate()
@@ -229,85 +231,51 @@ struct MemberJob<'a> {
 /// Trains one [`NeuralGp`] per job over the shared design points, in job
 /// order, warm-starting from each job's previous member when present.
 ///
-/// With `config.parallel` on a multi-core machine the flat job list is split
-/// into contiguous bands over at most `min(cores, 8, jobs)` scoped worker
-/// threads — one layer of parallelism regardless of how many outputs ×
-/// members the jobs span, so the thread count never exceeds the hardware.
-/// Every member's rng derives solely from its job seed, making the results
-/// bit-identical to the sequential loop.
+/// With `config.parallel` the flat job list is split into
+/// [`nnbo_pool::WorkerPool::fan_out`] contiguous bands on the shared worker
+/// pool, one layer of parallelism however many outputs × members the jobs
+/// span; without it every member trains in one band on the calling thread.
+/// Every member's rng derives solely from its job seed, so the results do
+/// not depend on the band count.
 fn train_members(
     xs: &[Vec<f64>],
     jobs: &[MemberJob<'_>],
     config: &EnsembleConfig,
 ) -> Vec<Result<NeuralGp, String>> {
-    let participants = nnbo_pool::WorkerPool::global().participants();
-    let workers = if config.parallel {
-        participants.min(8).min(jobs.len())
+    let bands = if config.parallel {
+        nnbo_pool::WorkerPool::global().fan_out()
     } else {
         1
     };
-    train_members_with_workers(xs, jobs, config, workers)
+    train_members_with_workers(xs, jobs, config, bands)
 }
 
-/// [`train_members`] with an explicit worker count, so tests can force the
-/// banded scoped-thread path (and its panic handling) on any machine.
+/// [`train_members`] with an explicit band count, so tests can force the
+/// banded path on any machine.
+///
+/// A panicking member fails alone, on every band count: its payload becomes
+/// that member's training error, naming the actual assertion so a failure
+/// is actionable, and the quorum rule decides whether the ensemble survives.
 fn train_members_with_workers(
     xs: &[Vec<f64>],
     jobs: &[MemberJob<'_>],
     config: &EnsembleConfig,
-    workers: usize,
+    bands: usize,
 ) -> Vec<Result<NeuralGp, String>> {
-    let fit_job = |job: &MemberJob<'_>| {
-        let mut member_rng = StdRng::seed_from_u64(job.seed);
-        NeuralGp::fit_warm(xs, job.ys, &config.member_config, &mut member_rng, job.prev)
-    };
-    if workers <= 1 {
-        return jobs.iter().map(fit_job).collect();
-    }
-    let band = jobs.len().div_ceil(workers);
-    let mut slots: Vec<Vec<Result<NeuralGp, String>>> = Vec::new();
-    slots.resize_with(jobs.len().div_ceil(band), Vec::new);
-    let fit_job = &fit_job;
-    let tasks: Vec<Box<dyn FnOnce() + Send + '_>> = jobs
-        .chunks(band)
-        .zip(slots.iter_mut())
-        .map(|(band_jobs, slot)| {
-            Box::new(move || {
-                // A panicking member must not poison the whole batch: the
-                // payload is caught per band and surfaced as that band's
-                // training errors, naming the actual assertion so a CI
-                // failure is actionable instead of a generic placeholder.
-                let caught = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-                    band_jobs.iter().map(fit_job).collect::<Vec<_>>()
-                }));
-                *slot = caught.unwrap_or_else(|payload| {
-                    let reason = panic_message(payload.as_ref());
-                    band_jobs
-                        .iter()
-                        .map(|_| Err(format!("member thread panicked: {reason}")))
-                        .collect()
-                });
-            }) as Box<dyn FnOnce() + Send + '_>
+    nnbo_pool::WorkerPool::global().map_bands(jobs, bands, |job| {
+        std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+            let mut member_rng = StdRng::seed_from_u64(job.seed);
+            NeuralGp::fit_warm(xs, job.ys, &config.member_config, &mut member_rng, job.prev)
+        }))
+        .unwrap_or_else(|payload| {
+            let reason = nnbo_pool::panic_message(payload.as_ref());
+            Err(format!("member thread panicked: {reason}"))
         })
-        .collect();
-    nnbo_pool::WorkerPool::global().run_batch(tasks);
-    slots.into_iter().flatten().collect()
+    })
 }
 
-/// Best-effort extraction of a thread panic payload's message (`panic!` with a
-/// literal yields `&str`, with a format string `String`).
-fn panic_message(payload: &(dyn std::any::Any + Send)) -> String {
-    if let Some(s) = payload.downcast_ref::<&str>() {
-        (*s).to_string()
-    } else if let Some(s) = payload.downcast_ref::<String>() {
-        s.clone()
-    } else {
-        "non-string panic payload".to_string()
-    }
-}
-
-/// Batch size from which scoring the members on separate scoped threads pays
-/// for the spawn/join overhead.
+/// Batch size from which scoring the members in one pool task each pays
+/// for the batch overhead.
 const PARALLEL_PREDICT_MIN_BATCH: usize = 256;
 
 impl SurrogateModel for NeuralGpEnsemble {
@@ -343,32 +311,21 @@ impl SurrogateModel for NeuralGpEnsemble {
     }
 
     /// Batched moment matching (eq. 13): every member scores the whole batch
-    /// through its own vectorised path, and large batches fan the members out
-    /// over scoped threads.  Combination runs in member order regardless of
-    /// thread scheduling, so the result is deterministic and identical to the
+    /// through its own vectorised path, and large batches run one member per
+    /// pool task.  Combination runs in member order regardless of thread
+    /// scheduling, so the result is deterministic and identical to the
     /// per-point path.
     fn predict_batch(&self, xs: &[Vec<f64>]) -> Vec<Prediction> {
         if xs.is_empty() {
             return Vec::new();
         }
-        let member_preds: Vec<Vec<Prediction>> = if self.members.len() > 1
-            && xs.len() >= PARALLEL_PREDICT_MIN_BATCH
-        {
-            let mut slots: Vec<Vec<Prediction>> = Vec::new();
-            slots.resize_with(self.members.len(), Vec::new);
-            let tasks: Vec<Box<dyn FnOnce() + Send + '_>> = self
-                .members
-                .iter()
-                .zip(slots.iter_mut())
-                .map(|(m, slot)| {
-                    Box::new(move || *slot = m.predict_batch(xs)) as Box<dyn FnOnce() + Send + '_>
-                })
-                .collect();
-            nnbo_pool::WorkerPool::global().run_batch(tasks);
-            slots
+        let bands = if xs.len() >= PARALLEL_PREDICT_MIN_BATCH {
+            self.members.len()
         } else {
-            self.members.iter().map(|m| m.predict_batch(xs)).collect()
+            1
         };
+        let member_preds = nnbo_pool::WorkerPool::global()
+            .map_bands(&self.members, bands, |m| m.predict_batch(xs));
 
         let k = self.members.len() as f64;
         let mut out = Vec::with_capacity(xs.len());
@@ -416,14 +373,14 @@ impl SurrogateTrainer for NeuralGpEnsembleTrainer {
         NeuralGpEnsemble::fit(xs, ys, &self.config, rng)
     }
 
-    /// Multi-output training with one flat scoped-thread fan-out: the member
-    /// seeds of every output are drawn from `rng` up front (in the same order
-    /// as sequential [`NeuralGpEnsemble::fit`] calls, so the rng stream and —
+    /// Multi-output training with one flat fan-out: the member seeds of
+    /// every output are drawn from `rng` up front (in the same order as
+    /// sequential [`NeuralGpEnsemble::fit`] calls, so the rng stream and —
     /// without previous models — every trained member are bit-identical to
     /// the sequential path), then all `outputs × members` trainings run as
-    /// one flat, core-capped job list ([`train_members`]) — the constraint
-    /// surrogates no longer wait for the objective's ensemble to finish, and
-    /// the thread count never exceeds the hardware.
+    /// one flat job list banded over the worker pool (`train_members`) —
+    /// the constraint surrogates do not wait for the objective's ensemble
+    /// to finish, and the thread count never exceeds the hardware.
     ///
     /// When `prev` carries the previous refit's ensembles (one per target, as
     /// `BayesOpt::refresh_models` passes them), output `t`'s member `k`
@@ -440,7 +397,6 @@ impl SurrogateTrainer for NeuralGpEnsembleTrainer {
         rng: &mut StdRng,
     ) -> Result<Vec<NeuralGpEnsemble>, String> {
         let members = self.config.members;
-        assert!(members > 0, "ensemble needs at least one member");
         let jobs: Vec<MemberJob<'_>> = targets
             .iter()
             .enumerate()
@@ -692,6 +648,59 @@ mod tests {
             assert!(err.contains("member thread panicked"), "{err}");
             assert!(err.contains("output dimension must be positive"), "{err}");
         }
+    }
+
+    #[test]
+    fn member_panics_become_one_error_per_member_on_every_band_count() {
+        // The catch is per member, so a panic never unwinds out of training
+        // and never stands in for a band's other members: each of the four
+        // members reports its own error, however the jobs are banded, and
+        // also with `parallel: false`, which trains in one band inline.
+        let (xs, ys) = toy_data(10);
+        let jobs: Vec<MemberJob<'_>> = (1u64..=4)
+            .map(|seed| MemberJob {
+                ys: &ys,
+                seed,
+                prev: None,
+            })
+            .collect();
+        for parallel in [false, true] {
+            let config = EnsembleConfig {
+                members: 4,
+                member_config: NeuralGpConfig {
+                    feature_dim: 0,
+                    ..NeuralGpConfig::fast()
+                },
+                parallel,
+            };
+            let planned = train_members(&xs, &jobs, &config);
+            for bands in [1, 2, 3, 4] {
+                let forced = train_members_with_workers(&xs, &jobs, &config, bands);
+                for results in [&planned, &forced] {
+                    assert_eq!(results.len(), 4, "parallel={parallel} bands={bands}");
+                    for r in results {
+                        let err = r.as_ref().unwrap_err();
+                        assert!(err.contains("output dimension must be positive"), "{err}");
+                    }
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn an_ensemble_without_members_is_an_error_not_a_panic() {
+        use crate::surrogate::SurrogateTrainer;
+        let (xs, ys) = toy_data(10);
+        let config = EnsembleConfig {
+            members: 0,
+            ..EnsembleConfig::fast()
+        };
+        let mut rng = StdRng::seed_from_u64(3);
+        let err = NeuralGpEnsemble::fit(&xs, &ys, &config, &mut rng).unwrap_err();
+        assert_eq!(err, "no ensemble member trained");
+        let many =
+            NeuralGpEnsembleTrainer::new(config).fit_many(&xs, &[ys.clone(), ys], None, &mut rng);
+        assert_eq!(many.unwrap_err(), "no ensemble member trained");
     }
 
     #[test]

@@ -54,9 +54,10 @@ type SpecFn<O> = Arc<dyn Fn(&O) -> Evaluation + Send + Sync>;
 /// instead maximises the per-corner objective, which is the generic
 /// worst-case-over-scenarios formulation.
 ///
-/// Corner fan-out runs on [`nnbo_pool::WorkerPool::global`] (the submitting
-/// thread participates) unless [`SweepProblem::with_parallel`] disables it;
-/// the sequential path is the bit-identity reference.
+/// Every (suggestion, corner) measurement is one task on
+/// [`nnbo_pool::WorkerPool::global`] (the submitting thread participates)
+/// unless [`SweepProblem::with_parallel`] disables the fan-out; the
+/// one-band path is the bit-identity reference.
 pub struct SweepProblem<T: Testbench> {
     sweep: CornerSweep<T>,
     spec: SpecFn<T::Output>,
@@ -110,9 +111,9 @@ impl<T: Testbench> SweepProblem<T> {
         self
     }
 
-    /// Enables or disables the worker-pool corner fan-out.  The sequential
-    /// path (`false`) is the bit-identity reference the parallel path is
-    /// pinned against.
+    /// Enables or disables the worker-pool corner fan-out.  With `false`
+    /// every corner is measured in one band on the calling thread: the
+    /// bit-identity reference the parallel path is pinned against.
     pub fn with_parallel(mut self, parallel: bool) -> Self {
         self.parallel = parallel;
         self
@@ -186,19 +187,6 @@ impl<T: Testbench> SweepProblem<T> {
                 Evaluation::new(objective, constraints)
             }
         }
-    }
-
-    /// Measures the requested corners of one *physical* design point, in
-    /// slot order matching `corner_indices`.  Sequential reference path.
-    fn measure_sequential(
-        &self,
-        x_phys: &[f64],
-        corner_indices: &[usize],
-    ) -> Vec<Result<T::Output, String>> {
-        corner_indices
-            .iter()
-            .map(|&k| self.sweep.run_corner(x_phys, k))
-            .collect()
     }
 
     /// Turns the ordered per-corner results of one suggestion into its
@@ -303,9 +291,10 @@ impl<T: Testbench> Problem for SweepProblem<T> {
     }
 
     /// Evaluates a batch of suggestions as `suggestions × corners`
-    /// independent measurements in **one** worker-pool batch, gathered
-    /// back in input-then-corner order — bit-identical to the sequential
-    /// double loop.
+    /// independent measurements in **one** worker-pool batch
+    /// ([`nnbo_pool::WorkerPool::map_bands`], one band per measurement),
+    /// gathered back in input-then-corner order — bit-identical to the
+    /// sequential double loop.
     fn try_evaluate_batch(&self, xs: &[&[f64]]) -> Vec<EvalOutcome> {
         let corner_indices = self.corner_indices();
         let per_point = corner_indices.len();
@@ -314,44 +303,18 @@ impl<T: Testbench> Problem for SweepProblem<T> {
             .map(|x| self.sweep.bench().denormalize(x))
             .collect();
 
-        let mut slots: Vec<Option<Result<T::Output, String>>> = Vec::new();
-        if self.parallel && points.len() * per_point > 1 {
-            slots.resize_with(points.len() * per_point, || None);
-            let mut tasks: Vec<Box<dyn FnOnce() + Send + '_>> =
-                Vec::with_capacity(points.len() * per_point);
-            for (slot, job) in slots.iter_mut().zip(
-                points
-                    .iter()
-                    .flat_map(|p| corner_indices.iter().map(move |&k| (p, k))),
-            ) {
-                let (point, k) = job;
-                let sweep = &self.sweep;
-                tasks.push(Box::new(move || {
-                    *slot = Some(sweep.run_corner(point, k));
-                }));
-            }
-            nnbo_pool::WorkerPool::global().run_batch(tasks);
-        } else {
-            for point in &points {
-                slots.extend(
-                    self.measure_sequential(point, &corner_indices)
-                        .into_iter()
-                        .map(Some),
-                );
-            }
-        }
-
-        let mut outcomes = Vec::with_capacity(points.len());
-        let mut slots = slots.into_iter();
-        for _ in 0..points.len() {
-            let results: Vec<Result<T::Output, String>> = slots
-                .by_ref()
-                .take(per_point)
-                .map(|slot| slot.expect("every corner task ran"))
-                .collect();
-            outcomes.push(self.outcome_from_results(results));
-        }
-        outcomes
+        let jobs: Vec<(&[f64], usize)> = points
+            .iter()
+            .flat_map(|p| corner_indices.iter().map(move |&k| (p.as_slice(), k)))
+            .collect();
+        let bands = if self.parallel { jobs.len() } else { 1 };
+        let sweep = &self.sweep;
+        let mut results = nnbo_pool::WorkerPool::global()
+            .map_bands(&jobs, bands, |&(point, k)| sweep.run_corner(point, k))
+            .into_iter();
+        (0..points.len())
+            .map(|_| self.outcome_from_results(results.by_ref().take(per_point).collect()))
+            .collect()
     }
 
     fn name(&self) -> &str {

@@ -131,7 +131,7 @@ pub trait SurrogateTrainer: Send + Sync {
     /// exactly as the equivalent sequence of single fits would; trainers with
     /// shareable fit structure (the classical GP's fit context, the
     /// ensemble's independent members) override this to share that work and
-    /// fan the per-output training out over scoped threads.
+    /// band the per-output training over the shared worker pool.
     ///
     /// # Errors
     ///

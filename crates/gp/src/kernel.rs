@@ -238,15 +238,18 @@ impl ArdSquaredExponential {
     }
 
     /// Partial derivative of the Gram matrix with respect to `log σf` (returns the
-    /// full matrix).
-    pub fn gram_grad_log_signal(&self, gram: &Matrix) -> Matrix {
+    /// full matrix).  Test-only: the fit's gradient never forms these
+    /// matrices; the dense-inverse reference likelihood does.
+    #[cfg(test)]
+    pub(crate) fn gram_grad_log_signal(&self, gram: &Matrix) -> Matrix {
         // k = σf² e^{-...}; ∂k/∂ log σf = 2k.
         gram.map(|v| 2.0 * v)
     }
 
     /// Partial derivative of the Gram matrix with respect to `log l_d` for
-    /// dimension `d`.
-    pub fn gram_grad_log_lengthscale(&self, x: &Matrix, gram: &Matrix, d: usize) -> Matrix {
+    /// dimension `d`.  Test-only, like [`Self::gram_grad_log_signal`].
+    #[cfg(test)]
+    pub(crate) fn gram_grad_log_lengthscale(&self, x: &Matrix, gram: &Matrix, d: usize) -> Matrix {
         // ∂k/∂ log l_d = k · (x1_d - x2_d)² / l_d².
         let n = x.nrows();
         let w = self.inv_sq[d];

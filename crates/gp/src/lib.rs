@@ -58,7 +58,8 @@
 //!   [`GpModel::fit_multi_warm`]) — the constrained BO loop models the
 //!   objective and every constraint over the *same* designs, so the context
 //!   is shared across all outputs and the per-output optimizations (own Adam
-//!   state, Cholesky factors, scratch) run on scoped threads.  Per-output
+//!   state, Cholesky factors, scratch) run in bands on the shared worker
+//!   pool ([`nnbo_pool::WorkerPool::map_bands`]).  Per-output
 //!   seeds are drawn up front, making the result independent of thread
 //!   scheduling and bit-identical to per-output [`GpModel::fit_warm`] calls
 //!   with the derived seeds.

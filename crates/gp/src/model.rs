@@ -180,9 +180,8 @@ impl GpModel {
     /// The shared fit context is built once per call; each output then runs
     /// its own hyper-parameter optimization (warm-started where `warm[i]` is
     /// given, cold otherwise) with per-output Adam state, Cholesky factors
-    /// and gradient buffers.  When more than one output is requested and the
-    /// machine has more than one core, the per-output optimizations run on
-    /// scoped threads.
+    /// and gradient buffers.  The per-output optimizations run in contiguous
+    /// bands on the shared worker pool ([`nnbo_pool::WorkerPool::map_bands`]).
     ///
     /// **Determinism:** one seed per output is drawn from `rng` up front (in
     /// target order) and output `i` is fitted with an [`StdRng`] seeded from
@@ -229,32 +228,14 @@ impl GpModel {
             .zip(seeds.iter().zip(warm.iter()))
             .map(|(ys, (&seed, prev))| (ys, seed, prev))
             .collect();
-        // One layer of core-capped parallelism on the shared worker pool:
-        // each batch task owns a contiguous band of outputs (and their
-        // FitScratch buffers), so the thread count and peak memory never
-        // exceed the hardware even for problems with many constraints.
-        let participants = nnbo_pool::WorkerPool::global().participants();
-        let workers = participants.min(8).min(jobs.len());
-        let results: Vec<Result<Self, GpError>> = if workers > 1 {
-            let band = jobs.len().div_ceil(workers);
-            let mut slots: Vec<Vec<Result<Self, GpError>>> = Vec::new();
-            slots.resize_with(jobs.len().div_ceil(band), Vec::new);
-            let fit_one = &fit_one;
-            let tasks: Vec<Box<dyn FnOnce() + Send + '_>> = jobs
-                .chunks(band)
-                .zip(slots.iter_mut())
-                .map(|(band_jobs, slot)| {
-                    Box::new(move || {
-                        *slot = band_jobs.iter().map(fit_one).collect();
-                    }) as Box<dyn FnOnce() + Send + '_>
-                })
-                .collect();
-            nnbo_pool::WorkerPool::global().run_batch(tasks);
-            slots.into_iter().flatten().collect()
-        } else {
-            jobs.iter().map(fit_one).collect()
-        };
-        results.into_iter().collect()
+        // One layer of parallelism on the shared worker pool: each band of
+        // outputs (and their FitScratch buffers) is one task, so the thread
+        // count and peak memory stay bounded for problems with many
+        // constraints.
+        let pool = nnbo_pool::WorkerPool::global();
+        pool.map_bands(&jobs, pool.fan_out(), fit_one)
+            .into_iter()
+            .collect()
     }
 
     /// The per-output fit core shared by the single- and multi-output entry

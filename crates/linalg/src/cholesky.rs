@@ -341,10 +341,10 @@ impl Cholesky {
     /// operation is a contiguous row `axpy` of width `m`, which vectorises —
     /// unlike `m` independent [`Cholesky::solve_lower`] calls whose dot
     /// products are serial dependency chains.  Wide right-hand sides are
-    /// additionally split into contiguous column blocks solved on scoped
-    /// threads (the columns are independent, so the arithmetic per column is
-    /// unchanged).  Column `j` of the result is arithmetically identical to
-    /// `solve_lower` of column `j` of `B`.
+    /// additionally split into contiguous column blocks solved as tasks of
+    /// one batch on the shared worker pool (the columns are independent, so
+    /// the arithmetic per column is unchanged).  Column `j` of the result is
+    /// arithmetically identical to `solve_lower` of column `j` of `B`.
     ///
     /// # Panics
     ///

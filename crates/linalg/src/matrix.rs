@@ -292,9 +292,9 @@ impl Matrix {
 
     /// Matrix product `self * other`.
     ///
-    /// Computed by an internal cache-blocked kernel; large shapes
-    /// run on scoped threads.  See [`Matrix::matmul_naive`] for the reference
-    /// implementation.
+    /// Computed by an internal cache-blocked kernel; large shapes run in
+    /// row bands on the shared worker pool.  See [`Matrix::matmul_naive`]
+    /// for the reference implementation.
     ///
     /// # Panics
     ///
@@ -361,8 +361,8 @@ impl Matrix {
 
     /// Product `self * otherᵀ` without materialising the transpose.
     ///
-    /// Computed by an internal tiled multi-accumulator kernel;
-    /// large shapes run on scoped threads.
+    /// Computed by an internal tiled multi-accumulator kernel; large shapes
+    /// run in row bands on the shared worker pool.
     ///
     /// # Panics
     ///
@@ -421,8 +421,8 @@ impl Matrix {
 
     /// Product `selfᵀ * other` without materialising the transpose.
     ///
-    /// Computed by an internal k-unrolled kernel; large shapes
-    /// run on scoped threads.
+    /// Computed by an internal k-unrolled kernel; large shapes run in row
+    /// bands on the shared worker pool.
     ///
     /// # Panics
     ///

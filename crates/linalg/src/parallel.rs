@@ -9,10 +9,6 @@
 //! and because every band computes exactly what the sequential loop would, the
 //! results are bit-for-bit identical to a single-threaded run.
 
-/// Upper bound on band-level fan-out (beyond this the kernels are
-/// memory-bound).
-const MAX_THREADS: usize = 8;
-
 /// Number of parallel bands to use for a kernel touching `rows` output rows
 /// with roughly `flops` floating-point operations in total.
 ///
@@ -26,9 +22,8 @@ pub(crate) fn plan_threads(rows: usize, flops: usize) -> usize {
     if flops < MIN_FLOPS {
         return 1;
     }
-    let participants = nnbo_pool::WorkerPool::global().participants();
-    participants
-        .min(MAX_THREADS)
+    nnbo_pool::WorkerPool::global()
+        .fan_out()
         .min(rows / MIN_ROWS_PER_THREAD)
         .max(1)
 }

@@ -23,6 +23,14 @@
 //!   (possibly long-running) jobs and nested submissions cannot deadlock.
 //!   Each task computes exactly what the sequential loop would, so results
 //!   are bit-identical regardless of which thread claims which task.
+//! * **Banded maps** ([`WorkerPool::map_bands`]): the one fan-out the
+//!   library's loops share (ensemble training and prediction, the GP's
+//!   multi-output fit, the PVT corner sweep).  It splits a slice into
+//!   contiguous bands, runs one batch task per band, and returns the
+//!   results in item order; one band runs inline and submits nothing.
+//!   [`WorkerPool::fan_out`] is the band count those loops plan with, the
+//!   only place its cap is written.  [`panic_message`] renders a caught
+//!   payload, for callers that turn a panic into an error.
 //! * **Detached jobs** ([`WorkerPool::spawn`]): fire-and-forget `'static`
 //!   closures (the serving layer's session steps).  Each job runs under
 //!   [`std::panic::catch_unwind`], so a poisoned job never takes down its
@@ -65,9 +73,10 @@ use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::{Arc, Condvar, Mutex, MutexGuard, OnceLock};
 
-/// Upper bound on global-pool workers (beyond this the numeric kernels are
-/// memory-bound; the cap matches the old per-call `thread::scope` limit).
-const MAX_GLOBAL_WORKERS: usize = 8;
+/// Upper bound on global-pool workers and on the band count of a fan-out
+/// ([`WorkerPool::fan_out`]): beyond this the numeric kernels are
+/// memory-bound.
+const MAX_FAN_OUT: usize = 8;
 
 /// A task inside a scoped batch.  The `'static` is a lie told once, in
 /// [`WorkerPool::run_batch`], and made true by the batch latch: the
@@ -313,7 +322,7 @@ impl WorkerPool {
             let workers = std::env::var("NNBO_POOL_WORKERS")
                 .ok()
                 .and_then(|v| v.parse::<usize>().ok())
-                .unwrap_or_else(|| cores.min(MAX_GLOBAL_WORKERS));
+                .unwrap_or_else(|| cores.min(MAX_FAN_OUT));
             WorkerPool::new(workers)
         })
     }
@@ -329,9 +338,51 @@ impl WorkerPool {
         self.inner.workers + 1
     }
 
+    /// The band count the workspace's fan-outs plan with:
+    /// [`WorkerPool::participants`], capped at 8 because beyond that the
+    /// numeric kernels are memory-bound.
+    pub fn fan_out(&self) -> usize {
+        self.participants().min(MAX_FAN_OUT)
+    }
+
     /// Snapshot of the pool's activity counters.
     pub fn stats(&self) -> PoolStats {
         self.inner.counters.snapshot()
+    }
+
+    /// Maps `f` over `items` and returns the results in item order.
+    ///
+    /// The items are split into at most `bands` contiguous bands of
+    /// `items.len().div_ceil(bands)` items, and each band runs as one task
+    /// of a [`WorkerPool::run_batch`].  With `bands <= 1` or at most one
+    /// item, `f` runs inline on the calling thread and no batch is
+    /// submitted.  When `f`'s result depends only on its item, the output
+    /// does not depend on which thread ran which band.  A panic in `f` reaches
+    /// the caller as a `run_batch` task panic does: once every band
+    /// finished, the first payload is re-thrown.
+    pub fn map_bands<T, R, F>(&self, items: &[T], bands: usize, f: F) -> Vec<R>
+    where
+        T: Sync,
+        R: Send,
+        F: Fn(&T) -> R + Sync,
+    {
+        if bands <= 1 || items.len() <= 1 {
+            return items.iter().map(f).collect();
+        }
+        let band = items.len().div_ceil(bands);
+        let mut slots: Vec<Vec<R>> = Vec::new();
+        slots.resize_with(items.len().div_ceil(band), Vec::new);
+        let f = &f;
+        let tasks: Vec<Box<dyn FnOnce() + Send + '_>> = items
+            .chunks(band)
+            .zip(slots.iter_mut())
+            .map(|(band_items, slot)| {
+                Box::new(move || *slot = band_items.iter().map(f).collect())
+                    as Box<dyn FnOnce() + Send + '_>
+            })
+            .collect();
+        self.run_batch(tasks);
+        slots.into_iter().flatten().collect()
     }
 
     /// Runs every task to completion, sharing them between the pool's
@@ -453,6 +504,19 @@ impl Drop for WorkerPool {
                 let _ = h.join();
             }
         }
+    }
+}
+
+/// The message of a caught panic payload: `panic!` with a literal yields a
+/// `&str`, with a format string a `String`; any other payload is named as
+/// such.
+pub fn panic_message(payload: &(dyn Any + Send)) -> String {
+    if let Some(s) = payload.downcast_ref::<&str>() {
+        (*s).to_string()
+    } else if let Some(s) = payload.downcast_ref::<String>() {
+        s.clone()
+    } else {
+        "non-string panic payload".to_string()
     }
 }
 
@@ -901,6 +965,84 @@ mod tests {
             pool.stats().lock_poisonings >= 1,
             "the recovery must be counted"
         );
+    }
+
+    #[test]
+    fn map_bands_returns_results_in_item_order_for_every_band_count() {
+        let pool = WorkerPool::new(2);
+        for len in [0usize, 1, 7] {
+            let items: Vec<usize> = (0..len).collect();
+            let expected: Vec<usize> = items.iter().map(|i| i * 10 + 1).collect();
+            for bands in [0, 1, 2, 3, len, len + 5] {
+                let got = pool.map_bands(&items, bands, |i| i * 10 + 1);
+                assert_eq!(got, expected, "len={len} bands={bands}");
+            }
+        }
+    }
+
+    #[test]
+    fn one_band_submits_no_batch_and_k_bands_run_one_task_each() {
+        let pool = WorkerPool::new(2);
+        let items: Vec<usize> = (0..7).collect();
+        let before = pool.stats().batch_tasks_executed;
+        pool.map_bands(&items, 1, |i| *i);
+        pool.map_bands(&items[..1], 4, |i| *i);
+        assert_eq!(pool.stats().batch_tasks_executed, before);
+        for bands in [2, 3, items.len(), items.len() + 5] {
+            let before = pool.stats().batch_tasks_executed;
+            pool.map_bands(&items, bands, |i| *i);
+            assert_eq!(
+                pool.stats().batch_tasks_executed - before,
+                bands.min(items.len()),
+                "bands={bands}"
+            );
+        }
+    }
+
+    #[test]
+    fn map_bands_panic_reaches_the_caller_like_a_run_batch_panic() {
+        let pool = WorkerPool::new(2);
+        let items: Vec<usize> = (0..7).collect();
+        for bands in [1, 3] {
+            let ran = AtomicUsize::new(0);
+            let result = catch_unwind(AssertUnwindSafe(|| {
+                pool.map_bands(&items, bands, |&i| {
+                    ran.fetch_add(1, Ordering::SeqCst);
+                    if i == 4 {
+                        panic!("scripted map panic at item {i}");
+                    }
+                    i
+                })
+            }));
+            let payload = result.expect_err("the panic must reach the caller");
+            assert_eq!(
+                panic_message(payload.as_ref()),
+                "scripted map panic at item 4",
+                "bands={bands}"
+            );
+            // Inline, the panic stops the loop at item 4.  Banded (0..3,
+            // 3..6, 6..7), it stops only its own band; the others finish
+            // before the payload is re-thrown.
+            let expected = if bands == 1 { 5 } else { 6 };
+            assert_eq!(ran.load(Ordering::SeqCst), expected, "bands={bands}");
+        }
+    }
+
+    #[test]
+    fn fan_out_is_the_participants_capped_at_eight() {
+        for (workers, fan_out) in [(0, 1), (3, 4), (7, 8), (9, 8)] {
+            assert_eq!(WorkerPool::new(workers).fan_out(), fan_out, "{workers}");
+        }
+    }
+
+    #[test]
+    fn panic_message_renders_str_and_string_payloads() {
+        let payload = catch_unwind(|| panic!("a literal")).unwrap_err();
+        assert_eq!(panic_message(payload.as_ref()), "a literal");
+        let payload = catch_unwind(|| panic!("formatted {}", 7)).unwrap_err();
+        assert_eq!(panic_message(payload.as_ref()), "formatted 7");
+        let payload = catch_unwind(|| std::panic::panic_any(7u32)).unwrap_err();
+        assert_eq!(panic_message(payload.as_ref()), "non-string panic payload");
     }
 
     #[test]

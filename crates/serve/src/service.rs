@@ -810,7 +810,7 @@ where
     match outcome {
         Err(payload) => {
             inner.stats.session_panics.fetch_add(1, Ordering::Relaxed);
-            quarantine(inner, session, render_panic(payload.as_ref()));
+            quarantine(inner, session, nnbo_pool::panic_message(payload.as_ref()));
             // A pristine stack for whoever steps next on this worker.
             inner.pool().recycle_current_worker();
         }
@@ -894,18 +894,6 @@ fn quarantine<T: SurrogateTrainer, S: SnapshotStore>(
         .sessions_quarantined
         .fetch_add(1, Ordering::Relaxed);
     inner.note_change();
-}
-
-/// Renders a panic payload to text (the common `&str` / `String` payloads,
-/// with a fallback for exotic ones).
-fn render_panic(payload: &(dyn std::any::Any + Send)) -> String {
-    if let Some(s) = payload.downcast_ref::<&str>() {
-        (*s).to_string()
-    } else if let Some(s) = payload.downcast_ref::<String>() {
-        s.clone()
-    } else {
-        "non-string panic payload".to_string()
-    }
 }
 
 #[cfg(test)]

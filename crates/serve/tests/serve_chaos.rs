@@ -847,12 +847,18 @@ fn down_shard_parks_its_sessions_while_the_other_shard_completes() {
     );
     // One worker => deterministic job order: bad[0] hits the dead disk
     // first (quarantined, shard goes Down), bad[1]'s persist then sees the
-    // Down shard and parks instead.
-    for id in bad.iter().chain(&good) {
+    // Down shard and parks instead.  bad[0] waits at the gate until every
+    // session is submitted: a Down shard would refuse the later submits.
+    let gate = Arc::new(GatedProblem::new());
+    service
+        .submit(&bad[0], driver(21), Arc::clone(&gate) as Arc<_>)
+        .unwrap();
+    for id in bad[1..].iter().chain(&good) {
         service
             .submit(id, driver(21), Arc::new(ConstrainedBranin))
             .unwrap();
     }
+    gate.open();
     service.drain();
 
     assert_eq!(service.status(&bad[0]).unwrap(), SessionStatus::Quarantined);
@@ -909,12 +915,16 @@ fn scrub_revives_the_shard_and_the_parked_session_finishes_bit_identically() {
             ..ServeConfig::default()
         },
     );
+    // a waits at the gate until b is submitted: a Down shard would refuse
+    // b's submit.
+    let gate = Arc::new(GatedProblem::new());
     service
-        .submit("a", driver(31), Arc::new(ConstrainedBranin))
+        .submit("a", driver(31), Arc::clone(&gate) as Arc<_>)
         .unwrap();
     service
         .submit("b", driver(32), Arc::new(ConstrainedBranin))
         .unwrap();
+    gate.open();
     service.drain();
     // a's first persist ate the EIO (quarantine + shard Down); b parked.
     assert_eq!(service.status("a").unwrap(), SessionStatus::Quarantined);
