@@ -3,7 +3,7 @@
 use serde::{Deserialize, Serialize};
 
 use crate::pvt::{Process, PvtCorner};
-use crate::testbench::{CornerContext, CornerOutput, Testbench};
+use crate::testbench::{CornerContext, Testbench};
 
 /// Number of design variables of the charge-pump sizing problem
 /// (18 transistors × width and length).
@@ -100,12 +100,10 @@ impl ChargePumpCornerMeasurement {
             dev_down: 0.0,
         }
     }
-}
 
-impl CornerOutput for ChargePumpCornerMeasurement {
     /// Componentwise maximum — exactly the per-metric `max` the paper's
     /// eq. 15 takes over the PVT corners.
-    fn fold_worst(&self, other: &Self) -> Self {
+    pub fn fold_worst(&self, other: &Self) -> Self {
         ChargePumpCornerMeasurement {
             diff1: self.diff1.max(other.diff1),
             diff2: self.diff2.max(other.diff2),
@@ -116,7 +114,8 @@ impl CornerOutput for ChargePumpCornerMeasurement {
         }
     }
 
-    fn all_finite(&self) -> bool {
+    /// `true` when every measured metric is finite.
+    pub fn all_finite(&self) -> bool {
         self.diff1.is_finite()
             && self.diff2.is_finite()
             && self.diff3.is_finite()
@@ -266,8 +265,8 @@ impl ChargePump {
     /// This is the worst-case corner sweep of the paper expressed through
     /// the [`Testbench`] measurement: every corner is measured via
     /// [`Testbench::measure`] and folded with
-    /// [`CornerOutput::fold_worst`], so a non-finite corner fails the
-    /// sweep *naming the corner* — it never reaches the aggregate.
+    /// [`ChargePumpCornerMeasurement::fold_worst`], so a non-finite corner
+    /// fails the sweep *naming the corner* — it never reaches the aggregate.
     ///
     /// # Errors
     ///

@@ -41,37 +41,31 @@
 //! [`Testbench`] owns its design-space mapping (bounds + denormalisation), its
 //! netlist/MNA build, the analyses it runs and the metrics it measures, all behind
 //! one corner-aware entry point, [`Testbench::measure`].  A [`CornerSweep`] expands
-//! one testbench into K [`PvtCorner`] variants with a pluggable
-//! [`CornerAggregation`] — [`CornerAggregation::WorstCase`] folds every corner into
-//! the componentwise worst case via [`CornerOutput::fold_worst`] (the paper's
-//! charge-pump setting), [`CornerAggregation::Nominal`] degenerates to the plain
-//! bench, and [`CornerAggregation::PerCorner`] keeps every measurement for
-//! per-corner constraint enforcement.  Failed corners surface as errors naming the
-//! corner — never as a `NaN` smuggled through an aggregation.
+//! one testbench into K [`PvtCorner`] variants, and [`CornerSweep::run_corner`]
+//! measures one of them.  A failed corner surfaces as an error naming the corner,
+//! never as a `NaN`.
 //!
-//! A worked op-amp example — worst-case gain/UGF/phase margin of one design over
-//! the standard 18 corners:
+//! A worked op-amp example — the worst gain, UGF and phase margin of one design
+//! over the standard 18 corners:
 //!
 //! ```
-//! use nnbo_circuits::{CornerSweep, SweepMeasurement, Testbench, TwoStageOpAmp};
+//! use nnbo_circuits::{CornerSweep, Testbench, TwoStageOpAmp};
 //!
 //! let sweep = CornerSweep::standard_18(TwoStageOpAmp::new());
 //! let x = sweep.bench().denormalize(&[0.5; 10]);
-//! match sweep.measure(&x).expect("all corners converge at this point") {
-//!     SweepMeasurement::Folded(worst) => {
-//!         // The fold is pessimistic per metric: min gain/UGF/PM, max power/area.
-//!         let nominal = sweep.bench().try_evaluate(&x).unwrap();
-//!         assert!(worst.gain_db <= nominal.gain_db);
-//!         assert!(worst.power_w >= nominal.power_w);
-//!     }
-//!     SweepMeasurement::PerCorner(_) => unreachable!("WorstCase folds"),
-//! }
+//! let corners: Vec<_> = (0..sweep.corners().len())
+//!     .map(|k| sweep.run_corner(&x, k).expect("every corner converges here"))
+//!     .collect();
+//! let worst_gain_db = corners.iter().map(|p| p.gain_db).fold(f64::INFINITY, f64::min);
+//! let nominal = sweep.bench().try_evaluate(&x).unwrap();
+//! assert!(worst_gain_db <= nominal.gain_db);
 //! ```
 //!
-//! The sequential [`CornerSweep::measure`] is the *reference semantics*; the
-//! `SweepProblem` adapter in `nnbo-core` fans the same per-corner measurements out
-//! over the process-wide worker pool and is test-pinned to agree with this path bit
-//! for bit.
+//! How the corners combine is the consumer's choice: the `SweepProblem` adapter in
+//! `nnbo-core` fans the per-corner measurements out over the process-wide worker
+//! pool and aggregates them (worst case, nominal corner or per-corner
+//! constraints).  Its one-band path, `with_parallel(false)`, is the reference the
+//! parallel fan-out is pinned against bit for bit.
 
 #![warn(missing_docs)]
 
@@ -100,7 +94,5 @@ pub use opamp::{
     BiasedTwoStageOpAmp, OpAmpPerformance, TwoStageOpAmp, BIASED_OPAMP_DIM, OPAMP_DIM,
 };
 pub use pvt::{Process, PvtCorner};
-pub use testbench::{
-    CornerAggregation, CornerContext, CornerOutput, CornerSweep, SweepMeasurement, Testbench,
-};
+pub use testbench::{CornerContext, CornerSweep, Testbench};
 pub use tran::{TransientAnalysis, TransientResult, Waveform};

@@ -6,7 +6,7 @@ use crate::ac::{AcAnalysis, AcSweep, SmallSignalCircuit, SmallSignalElement};
 use crate::mosfet::{MosTransistor, MosfetModel};
 use crate::netlist::GROUND;
 use crate::pvt::PvtCorner;
-use crate::testbench::{CornerContext, CornerOutput, Testbench};
+use crate::testbench::{CornerContext, Testbench};
 
 /// Number of design variables of the op-amp sizing problem.
 pub const OPAMP_DIM: usize = 10;
@@ -572,29 +572,6 @@ impl Testbench for BiasedTwoStageOpAmp {
             base: self.base.at_corner(&ctx.corner),
         }
         .try_evaluate(x)
-    }
-}
-
-impl CornerOutput for OpAmpPerformance {
-    /// Worst case per metric: minimum gain/UGF/phase margin, maximum power
-    /// and area, and a bias point that is only OK when *every* corner's is.
-    fn fold_worst(&self, other: &Self) -> Self {
-        OpAmpPerformance {
-            gain_db: self.gain_db.min(other.gain_db),
-            ugf_hz: self.ugf_hz.min(other.ugf_hz),
-            pm_deg: self.pm_deg.min(other.pm_deg),
-            power_w: self.power_w.max(other.power_w),
-            area_m2: self.area_m2.max(other.area_m2),
-            bias_ok: self.bias_ok && other.bias_ok,
-        }
-    }
-
-    fn all_finite(&self) -> bool {
-        self.gain_db.is_finite()
-            && self.ugf_hz.is_finite()
-            && self.pm_deg.is_finite()
-            && self.power_w.is_finite()
-            && self.area_m2.is_finite()
     }
 }
 

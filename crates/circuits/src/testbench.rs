@@ -7,9 +7,9 @@
 //! its physical design space, the netlist/MNA build, the analyses to run
 //! and the metrics it measures — and exposes them through a single
 //! corner-aware entry point, [`Testbench::measure`].  [`CornerSweep`]
-//! composes a testbench with a list of [`PvtCorner`]s and a pluggable
-//! [`CornerAggregation`], turning "one design point" into "K corner
-//! measurements folded into one verdict".
+//! composes a testbench with a list of [`PvtCorner`]s, turning "one design
+//! point" into "K corner measurements" ([`CornerSweep::run_corner`]); the
+//! consumer (`nnbo-core`'s `SweepProblem`) decides how they combine.
 //!
 //! Failure is explicit everywhere: a corner whose analyses do not converge
 //! (or measure something non-finite) surfaces as an `Err` naming the
@@ -55,8 +55,8 @@ impl CornerContext {
 /// same physical point under the same [`CornerContext`] always produces
 /// the same output, and the context is the *only* PVT input (a bench
 /// holding its own corner list must ignore it here).  That purity is what
-/// lets [`CornerSweep`] — and the batched sweep evaluation in `nnbo-core`
-/// — fan corners out over worker threads with bit-identical results.
+/// lets the batched sweep evaluation in `nnbo-core` fan a [`CornerSweep`]'s
+/// corners out over worker threads with bit-identical results.
 pub trait Testbench: Sync {
     /// The measured output of one corner evaluation.
     type Output: Clone + Send + 'static;
@@ -115,82 +115,20 @@ pub trait Testbench: Sync {
     }
 }
 
-/// Measured outputs that can fold corner-wise into a worst-case summary.
+/// A testbench expanded over a list of PVT corners: the declarative form of
+/// "evaluate this circuit at K corners".
 ///
-/// "Worst" is metric-specific (a gain pessimises downwards, a current
-/// spread upwards), so the output type defines the fold itself; the fold
-/// must be associative enough for a left-to-right sweep (componentwise
-/// `min`/`max` folds are).
-pub trait CornerOutput: Clone {
-    /// The componentwise worst case of two corner measurements.
-    fn fold_worst(&self, other: &Self) -> Self;
-
-    /// `true` when every measured metric is finite.
-    fn all_finite(&self) -> bool;
-}
-
-/// How a [`CornerSweep`] combines its per-corner measurements.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum CornerAggregation {
-    /// Fold every corner's measurement into the componentwise worst case
-    /// (the paper's charge-pump setting, eq. 15–16).
-    WorstCase,
-    /// Measure only the sweep's nominal corner — the sweep degenerates to
-    /// the plain testbench.
-    Nominal,
-    /// Keep every corner's measurement, in corner order, for consumers
-    /// that enforce their specification *per corner* (the
-    /// per-corner-constraints aggregation of `nnbo-core`'s sweep
-    /// problems).
-    PerCorner,
-}
-
-/// The result of an aggregated sweep: one folded measurement, or every
-/// corner's measurement in corner order (see [`CornerAggregation`]).
-#[derive(Debug, Clone, PartialEq)]
-pub enum SweepMeasurement<O> {
-    /// One combined measurement (`WorstCase` / `Nominal`).
-    Folded(O),
-    /// Every corner's measurement, in corner order (`PerCorner`).
-    PerCorner(Vec<O>),
-}
-
-impl<O> SweepMeasurement<O> {
-    /// The folded measurement, when the aggregation produced one.
-    pub fn folded(&self) -> Option<&O> {
-        match self {
-            SweepMeasurement::Folded(o) => Some(o),
-            SweepMeasurement::PerCorner(_) => None,
-        }
-    }
-
-    /// The per-corner measurements, when the aggregation kept them.
-    pub fn per_corner(&self) -> Option<&[O]> {
-        match self {
-            SweepMeasurement::Folded(_) => None,
-            SweepMeasurement::PerCorner(os) => Some(os),
-        }
-    }
-}
-
-/// A testbench expanded over a list of PVT corners with a pluggable
-/// aggregation: the declarative form of "evaluate this circuit at K
-/// corners and take the worst case".
-///
-/// The sweep itself is sequential and allocation-light — it is the
-/// *reference semantics*.  `nnbo-core`'s `SweepProblem` fans the same
-/// per-corner calls out over the process-wide worker pool and is
-/// test-pinned to agree with this sequential path bit for bit.
+/// [`CornerSweep::run_corner`] measures one corner and labels its failure
+/// with the corner.  `nnbo-core`'s `SweepProblem` fans those per-corner
+/// calls out over the process-wide worker pool and aggregates them.
 #[derive(Debug, Clone, PartialEq)]
 pub struct CornerSweep<T> {
     bench: T,
     corners: Vec<PvtCorner>,
-    aggregation: CornerAggregation,
 }
 
 impl<T: Testbench> CornerSweep<T> {
-    /// Expands `bench` over `corners` with the [`CornerAggregation::WorstCase`]
-    /// aggregation.
+    /// Expands `bench` over `corners`.
     ///
     /// # Panics
     ///
@@ -200,23 +138,13 @@ impl<T: Testbench> CornerSweep<T> {
             !corners.is_empty(),
             "a corner sweep needs at least one corner"
         );
-        CornerSweep {
-            bench,
-            corners,
-            aggregation: CornerAggregation::WorstCase,
-        }
+        CornerSweep { bench, corners }
     }
 
     /// The sweep over the standard 18 corners of the paper's charge-pump
     /// experiment ([`PvtCorner::standard_18`]).
     pub fn standard_18(bench: T) -> Self {
         Self::new(bench, PvtCorner::standard_18())
-    }
-
-    /// Replaces the aggregation.
-    pub fn with_aggregation(mut self, aggregation: CornerAggregation) -> Self {
-        self.aggregation = aggregation;
-        self
     }
 
     /// The underlying testbench.
@@ -227,11 +155,6 @@ impl<T: Testbench> CornerSweep<T> {
     /// The corners this sweep evaluates, in sweep order.
     pub fn corners(&self) -> &[PvtCorner] {
         &self.corners
-    }
-
-    /// The configured aggregation.
-    pub fn aggregation(&self) -> CornerAggregation {
-        self.aggregation
     }
 
     /// Index of the sweep's nominal corner: the first corner equal to
@@ -260,15 +183,6 @@ impl<T: Testbench> CornerSweep<T> {
             .map_err(|reason| self.label_failure(k, &reason))
     }
 
-    /// Measures every corner sequentially at a physical design point, in
-    /// corner order — the bit-identity reference for any parallel fan-out.
-    /// Per-corner failures are kept per corner (labelled with the corner).
-    pub fn measure_corners(&self, x: &[f64]) -> Vec<Result<T::Output, String>> {
-        (0..self.corners.len())
-            .map(|k| self.run_corner(x, k))
-            .collect()
-    }
-
     /// Prefixes a corner failure with the corner it happened at, so an
     /// aggregated failure still names the culprit.
     fn label_failure(&self, k: usize, reason: &str) -> String {
@@ -281,62 +195,10 @@ impl<T: Testbench> CornerSweep<T> {
     }
 }
 
-impl<T> CornerSweep<T>
-where
-    T: Testbench,
-    T::Output: CornerOutput,
-{
-    /// Runs the sweep at a physical design point and applies the
-    /// configured aggregation.
-    ///
-    /// `Nominal` measures only the nominal corner; `WorstCase` folds every
-    /// corner left to right in corner order (deterministic); `PerCorner`
-    /// returns every measurement.  A failing corner fails the whole sweep
-    /// with the corner named — a failed corner is never silently dropped
-    /// or replaced by a non-finite placeholder.
-    ///
-    /// # Errors
-    ///
-    /// The first failing corner's labelled reason, in corner order.
-    pub fn measure(&self, x: &[f64]) -> Result<SweepMeasurement<T::Output>, String> {
-        match self.aggregation {
-            CornerAggregation::Nominal => self
-                .run_corner(x, self.nominal_index())
-                .map(SweepMeasurement::Folded),
-            CornerAggregation::WorstCase => {
-                let mut worst = self.run_corner(x, 0)?;
-                for k in 1..self.corners.len() {
-                    worst = worst.fold_worst(&self.run_corner(x, k)?);
-                }
-                Ok(SweepMeasurement::Folded(worst))
-            }
-            CornerAggregation::PerCorner => {
-                let outputs = self
-                    .measure_corners(x)
-                    .into_iter()
-                    .collect::<Result<Vec<_>, String>>()?;
-                Ok(SweepMeasurement::PerCorner(outputs))
-            }
-        }
-    }
-
-    /// [`CornerSweep::measure`] at a point in normalised `[0, 1]`
-    /// coordinates.
-    ///
-    /// # Errors
-    ///
-    /// Same conditions as [`CornerSweep::measure`].
-    pub fn measure_normalized(&self, x: &[f64]) -> Result<SweepMeasurement<T::Output>, String> {
-        self.measure(&self.bench.denormalize(x))
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::chargepump::ChargePump;
     use crate::opamp::TwoStageOpAmp;
-    use crate::pvt::Process;
 
     #[test]
     fn denormalize_default_is_the_affine_clamped_map() {
@@ -357,87 +219,6 @@ mod tests {
         let plain = bench.try_evaluate(&x).unwrap();
         let via_ctx = bench.measure(&x, &CornerContext::nominal()).unwrap();
         assert_eq!(plain, via_ctx);
-    }
-
-    #[test]
-    fn nominal_aggregation_degenerates_to_the_plain_bench() {
-        let bench = TwoStageOpAmp::new();
-        let sweep = CornerSweep::standard_18(TwoStageOpAmp::new())
-            .with_aggregation(CornerAggregation::Nominal);
-        let x = bench.denormalize(&[0.4; 10]);
-        // standard_18 does not contain the exact nominal corner (1.10 V but
-        // -40/125 °C only), so the nominal index falls back to corner 0.
-        assert_eq!(sweep.nominal_index(), 0);
-        let folded = sweep.measure(&x).unwrap();
-        assert_eq!(folded.folded().unwrap(), &sweep.run_corner(&x, 0).unwrap());
-
-        let single = CornerSweep::new(TwoStageOpAmp::new(), vec![PvtCorner::nominal()])
-            .with_aggregation(CornerAggregation::Nominal);
-        let folded = single.measure(&x).unwrap();
-        assert_eq!(folded.folded().unwrap(), &bench.try_evaluate(&x).unwrap());
-    }
-
-    #[test]
-    fn worst_case_fold_is_no_better_than_any_single_corner() {
-        let sweep = CornerSweep::standard_18(TwoStageOpAmp::new());
-        let x = sweep.bench().denormalize(&[0.6; 10]);
-        let worst = match sweep.measure(&x).unwrap() {
-            SweepMeasurement::Folded(o) => o,
-            SweepMeasurement::PerCorner(_) => unreachable!(),
-        };
-        for k in 0..sweep.corners().len() {
-            let single = sweep.run_corner(&x, k).unwrap();
-            assert!(worst.gain_db <= single.gain_db + 1e-12);
-            assert!(worst.ugf_hz <= single.ugf_hz + 1e-3);
-            assert!(worst.pm_deg <= single.pm_deg + 1e-12);
-            assert!(worst.power_w >= single.power_w - 1e-18);
-        }
-    }
-
-    #[test]
-    fn per_corner_aggregation_returns_every_corner_in_order() {
-        let sweep = CornerSweep::standard_18(ChargePump::new())
-            .with_aggregation(CornerAggregation::PerCorner);
-        let x = sweep.bench().denormalize(&[0.5; 36]);
-        let all = match sweep.measure(&x).unwrap() {
-            SweepMeasurement::PerCorner(os) => os,
-            SweepMeasurement::Folded(_) => unreachable!(),
-        };
-        assert_eq!(all.len(), 18);
-        for (k, o) in all.iter().enumerate() {
-            assert_eq!(*o, sweep.run_corner(&x, k).unwrap());
-        }
-    }
-
-    #[test]
-    fn a_failing_corner_fails_the_sweep_naming_the_corner() {
-        // The stressed op-amp fails at every corner; the error must name
-        // the first one.
-        let sweep = CornerSweep::new(
-            TwoStageOpAmp::stressed(),
-            vec![
-                PvtCorner {
-                    process: Process::SlowSlow,
-                    vdd: 0.99,
-                    temperature: -40.0,
-                },
-                PvtCorner::nominal(),
-            ],
-        );
-        let x = sweep.bench().denormalize(&[0.5; 10]);
-        let err = sweep.measure(&x).unwrap_err();
-        assert!(err.contains("corner SS/0.99V/-40C (1/2) failed"), "{err}");
-        assert!(err.contains("singular"), "{err}");
-    }
-
-    #[test]
-    fn sweep_measurement_accessors() {
-        let folded: SweepMeasurement<f64> = SweepMeasurement::Folded(1.0);
-        assert_eq!(folded.folded(), Some(&1.0));
-        assert!(folded.per_corner().is_none());
-        let per: SweepMeasurement<f64> = SweepMeasurement::PerCorner(vec![1.0, 2.0]);
-        assert!(per.folded().is_none());
-        assert_eq!(per.per_corner(), Some(&[1.0, 2.0][..]));
     }
 
     #[test]

@@ -34,6 +34,8 @@ use crate::surrogate::{SurrogateModel, SurrogateTrainer};
 pub enum RefitPolicy {
     /// Full refit every `k` evaluations; iterations in between use the
     /// incremental updates.  `Fixed(1)` is the paper's always-refit loop.
+    /// The loop decides it exactly like a drift policy whose `min_gap` and
+    /// `max_gap` are both `k`: below gap `k` the update is always kept.
     Fixed(usize),
     /// Adaptive: after each incremental update, compare the models' per-point
     /// NLL (averaged over the objective and every constraint) against its
@@ -102,6 +104,17 @@ impl RefitPolicy {
                     || (gap >= min_gap && drift.is_none_or(|d| !d.is_finite() || d >= threshold))
             }
         }
+    }
+
+    /// Evaluations after the last full fit at which a refit is due whatever
+    /// the drift: `k` for `Fixed(k)` and `max_gap` for a drift policy, at
+    /// least 1.
+    fn max_gap(&self) -> usize {
+        match *self {
+            RefitPolicy::Fixed(k) => k,
+            RefitPolicy::NllDrift { max_gap, .. } => max_gap,
+        }
+        .max(1)
     }
 
     /// Human-readable validity check, used by [`BayesOpt::run`]'s config
@@ -261,21 +274,50 @@ impl SuggestCost {
     }
 }
 
+/// The record of one run, kept in one place: every evaluation in order and
+/// every counter the loop accumulates.
+///
+/// [`BoState`] owns it while the run is in flight and the loop's helpers
+/// append to it, [`BoSnapshot`] clones it whole, and [`BayesOpt::finish`]
+/// moves it into the [`OptimizationResult`].  Everything in it but the
+/// wall-clock `suggest.nanos` is deterministic for a given configuration,
+/// so a resumed run ends with the same ledger as the uninterrupted one.
+#[derive(Debug, Clone, PartialEq, Default, Serialize, Deserialize)]
+struct RunLedger {
+    /// Every evaluated `(normalised point, evaluation)` pair, in order.
+    history: Vec<(Vec<f64>, Evaluation)>,
+    /// Full surrogate refits performed.
+    full_refits: usize,
+    /// Acquisition-maximization cost (see [`SuggestCost`]).
+    suggest: SuggestCost,
+    /// Every recovery the run performed.
+    recovery: RecoveryLog,
+    /// Consecutive full refits triggered by drift right after an *imputed*
+    /// observation: capped by [`FailurePolicy::max_failure_refits`], reset
+    /// by any real observation.
+    consecutive_failure_refits: usize,
+}
+
+impl RunLedger {
+    /// Appends one evaluation.  An imputed one is indexed in the recovery
+    /// log; a real one ends any failure burst, so drift refits are
+    /// trustworthy again.
+    fn record(&mut self, x: Vec<f64>, eval: Evaluation, imputed: bool) {
+        if imputed {
+            self.recovery.imputed.push(self.history.len());
+        } else {
+            self.consecutive_failure_refits = 0;
+        }
+        self.history.push((x, eval));
+    }
+}
+
 /// The result of one optimization run: every evaluated point in order, plus
 /// convenience accessors for the best feasible design and convergence statistics.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct OptimizationResult {
-    evaluations: Vec<(Vec<f64>, Evaluation)>,
     initial_samples: usize,
-    /// Number of *full* surrogate refits the run performed (0 for
-    /// histories built by [`OptimizationResult::from_history`]).
-    full_refits: usize,
-    /// Acquisition-maximization cost (zero for histories built by
-    /// [`OptimizationResult::from_history`]).
-    suggest_cost: SuggestCost,
-    /// Audit trail of every recovery the run performed (empty for histories
-    /// built by [`OptimizationResult::from_history`]).
-    recovery: RecoveryLog,
+    ledger: RunLedger,
 }
 
 impl OptimizationResult {
@@ -283,16 +325,16 @@ impl OptimizationResult {
     ///
     /// This is how the non-Bayesian baselines (differential evolution, GASPAD,
     /// random search) report their runs so that every algorithm is summarised by
-    /// the same statistics code.  The full-refit counter is zero for such
-    /// histories — it is only meaningful for surrogate-driven [`BayesOpt`]
-    /// runs.
+    /// the same statistics code.  The refit and suggestion counters are zero
+    /// and the recovery log is empty for such histories: they are only
+    /// meaningful for surrogate-driven [`BayesOpt`] runs.
     pub fn from_history(evaluations: Vec<(Vec<f64>, Evaluation)>, initial_samples: usize) -> Self {
         OptimizationResult {
-            evaluations,
             initial_samples,
-            full_refits: 0,
-            suggest_cost: SuggestCost::default(),
-            recovery: RecoveryLog::default(),
+            ledger: RunLedger {
+                history: evaluations,
+                ..RunLedger::default()
+            },
         }
     }
 
@@ -300,14 +342,14 @@ impl OptimizationResult {
     /// [`SuggestCost`]); zero for histories built by
     /// [`OptimizationResult::from_history`].
     pub fn suggest_cost(&self) -> SuggestCost {
-        self.suggest_cost
+        self.ledger.suggest
     }
 
     /// The run's recovery log: evaluation failures and retries, imputed
     /// observations, surrogate degradations and space-filling fallbacks.  A
     /// [`RecoveryLog::is_clean`] log means the run needed no recovery at all.
     pub fn recovery(&self) -> &RecoveryLog {
-        &self.recovery
+        &self.ledger.recovery
     }
 
     /// Number of full surrogate refits (hyper-parameter optimizations /
@@ -317,17 +359,17 @@ impl OptimizationResult {
     /// [`RefitPolicy::Fixed`]`(1)` performs) is the direct measure of how
     /// much surrogate maintenance an adaptive policy saved.
     pub fn full_refits(&self) -> usize {
-        self.full_refits
+        self.ledger.full_refits
     }
 
     /// All evaluated `(normalised point, evaluation)` pairs, in evaluation order.
     pub fn evaluations(&self) -> &[(Vec<f64>, Evaluation)] {
-        &self.evaluations
+        &self.ledger.history
     }
 
     /// Number of evaluations performed.
     pub fn num_evaluations(&self) -> usize {
-        self.evaluations.len()
+        self.ledger.history.len()
     }
 
     /// Number of initial (space-filling) samples.
@@ -342,8 +384,8 @@ impl OptimizationResult {
     /// an optimum must come from a real simulation.
     pub fn best_index(&self) -> Option<usize> {
         let mut best: Option<(usize, f64)> = None;
-        for (i, (_, e)) in self.evaluations.iter().enumerate() {
-            if self.recovery.imputed.contains(&i) {
+        for (i, (_, e)) in self.ledger.history.iter().enumerate() {
+            if self.ledger.recovery.imputed.contains(&i) {
                 continue;
             }
             if e.is_feasible() && best.is_none_or(|(_, v)| e.objective < v) {
@@ -355,8 +397,10 @@ impl OptimizationResult {
 
     /// The best feasible point and its evaluation.
     pub fn best(&self) -> Option<(&[f64], &Evaluation)> {
-        self.best_index()
-            .map(|i| (self.evaluations[i].0.as_slice(), &self.evaluations[i].1))
+        self.best_index().map(|i| {
+            let (x, e) = &self.ledger.history[i];
+            (x.as_slice(), e)
+        })
     }
 
     /// Objective value of the best feasible point.
@@ -367,7 +411,7 @@ impl OptimizationResult {
     /// Index (1-based count of simulations) at which the first feasible point was
     /// found.
     pub fn first_feasible_at(&self) -> Option<usize> {
-        self.evaluations
+        self.evaluations()
             .iter()
             .position(|(_, e)| e.is_feasible())
             .map(|i| i + 1)
@@ -378,7 +422,7 @@ impl OptimizationResult {
     pub fn simulations_to_converge(&self, tolerance: f64) -> Option<usize> {
         let target = self.best_objective()? + tolerance;
         let mut best_so_far = f64::INFINITY;
-        for (i, (_, e)) in self.evaluations.iter().enumerate() {
+        for (i, (_, e)) in self.ledger.history.iter().enumerate() {
             if e.is_feasible() && e.objective < best_so_far {
                 best_so_far = e.objective;
             }
@@ -393,7 +437,7 @@ impl OptimizationResult {
     /// feasible point) — the convergence curve of the run.
     pub fn convergence_curve(&self) -> Vec<f64> {
         let mut best = f64::INFINITY;
-        self.evaluations
+        self.evaluations()
             .iter()
             .map(|(_, e)| {
                 if e.is_feasible() && e.objective < best {
@@ -473,29 +517,20 @@ impl<T: SurrogateTrainer> BayesOpt<T> {
     /// # Errors
     ///
     /// Returns [`BoError::InvalidConfig`] / [`BoError::InvalidProblem`] for
-    /// inconsistent setups.
+    /// inconsistent setups, including a trainer configuration that can never
+    /// train ([`SurrogateTrainer::validate`]).
     pub fn start(&self, problem: &dyn Problem) -> Result<BoState<T::Model>, BoError> {
         self.validate(problem)?;
         let dim = problem.dim();
         let mut rng = StdRng::seed_from_u64(self.config.seed);
-        let mut history: Vec<(Vec<f64>, Evaluation)> = Vec::new();
-        let mut recovery = RecoveryLog::default();
+        let mut ledger = RunLedger::default();
         for x in latin_hypercube(self.config.initial_samples, dim, &mut rng) {
-            let (x, eval, _) =
-                self.evaluate_with_policy(problem, x, &mut rng, &mut recovery, &history);
-            history.push((x, eval));
+            self.evaluate_with_policy(problem, x, &mut rng, &mut ledger);
         }
         Ok(BoState {
-            history,
+            ledger,
             rng,
-            surrogate: SurrogateState {
-                models: None,
-                scores: ScoreBuffers::new(),
-                full_refits: 0,
-                suggest: SuggestCost::default(),
-                recovery,
-                consecutive_failure_refits: 0,
-            },
+            surrogate: SurrogateState::new(None),
         })
     }
 
@@ -523,13 +558,13 @@ impl<T: SurrogateTrainer> BayesOpt<T> {
         problem: &dyn Problem,
         state: &mut BoState<T::Model>,
     ) -> Result<bool, BoError> {
-        if state.history.len() >= self.config.max_evaluations {
+        if state.ledger.history.len() >= self.config.max_evaluations {
             return Ok(false);
         }
         let dim = problem.dim();
         let candidate = match self.next_candidate(
             problem,
-            &state.history,
+            &mut state.ledger,
             &mut state.surrogate,
             &mut state.rng,
         ) {
@@ -538,45 +573,31 @@ impl<T: SurrogateTrainer> BayesOpt<T> {
                 // Graceful degradation, last line: no usable surrogate this
                 // iteration — a space-filling point keeps the run going.
                 state.surrogate.models = None;
-                state.surrogate.recovery.fallback_suggests += 1;
+                state.ledger.recovery.fallback_suggests += 1;
                 (0..dim).map(|_| state.rng.gen_range(0.0..1.0)).collect()
             }
             Err(e) => return Err(e),
         };
-        let (x, eval, imputed) = self.evaluate_with_policy(
-            problem,
-            candidate,
-            &mut state.rng,
-            &mut state.surrogate.recovery,
-            &state.history,
-        );
-        if !imputed {
-            // A real observation ends any failure burst: drift refits are
-            // trustworthy again (see FailurePolicy::max_failure_refits).
-            state.surrogate.consecutive_failure_refits = 0;
-        }
-        state.history.push((x, eval));
+        self.evaluate_with_policy(problem, candidate, &mut state.rng, &mut state.ledger);
         Ok(true)
     }
 
     /// Consumes the loop state into the run's [`OptimizationResult`].
     pub fn finish(&self, state: BoState<T::Model>) -> OptimizationResult {
         OptimizationResult {
-            evaluations: state.history,
             initial_samples: self.config.initial_samples,
-            full_refits: state.surrogate.full_refits,
-            suggest_cost: state.surrogate.suggest,
-            recovery: state.surrogate.recovery,
+            ledger: state.ledger,
         }
     }
 
     /// Captures the loop state as a versioned, serializable checkpoint.
     ///
     /// The snapshot records everything [`BayesOpt::resume`] needs to continue
-    /// the run *bit-identically*: the evaluation history, the exact rng
-    /// stream position, the fitted surrogates (serialized through the
-    /// self-describing value tree), the refit-policy bookkeeping and the
-    /// recovery log.  Through [`BoSnapshot::to_json`] and
+    /// the run *bit-identically*: the run's ledger (the evaluation history,
+    /// the refit and suggestion counters, the recovery log and the
+    /// failure-refit streak), the exact rng stream position and the fitted
+    /// surrogates (serialized through the self-describing value tree) with
+    /// their refit-policy bookkeeping.  Through [`BoSnapshot::to_json`] and
     /// [`BoSnapshot::from_json`] every finite `f64` in it round-trips bit for
     /// bit, as the shortest digits that parse back to the same bits.  NaN
     /// and ±inf (an infinite [`RefitPolicy::NllDrift`] threshold, say) are
@@ -589,12 +610,8 @@ impl<T: SurrogateTrainer> BayesOpt<T> {
         BoSnapshot {
             version: SNAPSHOT_VERSION,
             config: self.config.clone(),
-            history: state.history.clone(),
+            ledger: state.ledger.clone(),
             rng_state: state.rng.state(),
-            full_refits: state.surrogate.full_refits,
-            suggest_cost: state.surrogate.suggest,
-            recovery: state.surrogate.recovery.clone(),
-            consecutive_failure_refits: state.surrogate.consecutive_failure_refits,
             models: state.surrogate.models.as_ref().map(|f| ModelSnapshot {
                 objective: f.objective.to_value(),
                 constraints: f.constraints.iter().map(|m| m.to_value()).collect(),
@@ -611,13 +628,18 @@ impl<T: SurrogateTrainer> BayesOpt<T> {
     ///
     /// # Errors
     ///
-    /// Returns [`BoError::SnapshotMismatch`] when the snapshot's version or
+    /// Returns [`BoError::InvalidConfig`] when this driver's trainer
+    /// configuration can never train (as [`BayesOpt::start`] does), and
+    /// [`BoError::SnapshotMismatch`] when the snapshot's version or
     /// configuration differs from this driver's, or when a model payload no
     /// longer deserializes.
     pub fn resume(&self, snapshot: &BoSnapshot) -> Result<BoState<T::Model>, BoError>
     where
         T::Model: for<'de> Deserialize<'de>,
     {
+        if let Err(details) = self.trainer.validate() {
+            return Err(BoError::InvalidConfig { details });
+        }
         if snapshot.version != SNAPSHOT_VERSION {
             return Err(BoError::SnapshotMismatch {
                 details: format!(
@@ -656,16 +678,9 @@ impl<T: SurrogateTrainer> BayesOpt<T> {
             }
         };
         Ok(BoState {
-            history: snapshot.history.clone(),
+            ledger: snapshot.ledger.clone(),
             rng: StdRng::from_state(snapshot.rng_state),
-            surrogate: SurrogateState {
-                models,
-                scores: ScoreBuffers::new(),
-                full_refits: snapshot.full_refits,
-                suggest: snapshot.suggest_cost,
-                recovery: snapshot.recovery.clone(),
-                consecutive_failure_refits: snapshot.consecutive_failure_refits,
-            },
+            surrogate: SurrogateState::new(models),
         })
     }
 
@@ -689,43 +704,40 @@ impl<T: SurrogateTrainer> BayesOpt<T> {
         history: &[(Vec<f64>, Evaluation)],
         rng: &mut StdRng,
     ) -> Result<Vec<f64>, BoError> {
-        let mut state = SurrogateState {
-            models: None,
-            scores: ScoreBuffers::new(),
-            full_refits: 0,
-            suggest: SuggestCost::default(),
-            recovery: RecoveryLog::default(),
-            consecutive_failure_refits: 0,
+        let mut ledger = RunLedger {
+            history: history.to_vec(),
+            ..RunLedger::default()
         };
-        self.next_candidate(problem, history, &mut state, rng)
+        self.next_candidate(problem, &mut ledger, &mut SurrogateState::new(None), rng)
     }
 
-    /// Evaluates `x` under the configured [`FailurePolicy`]: failed or
-    /// timed-out attempts are retried up to `max_retries` times at
-    /// deterministically jittered points (rng draws happen *only* on the
-    /// failure path, so clean runs are bit-identical across policies), and an
-    /// exhausted point is replaced by a finite imputed evaluation recorded in
-    /// [`RecoveryLog::imputed`].  Returns the point actually recorded, its
-    /// evaluation, and whether it was imputed.
+    /// Evaluates `x` under the configured [`FailurePolicy`] and appends the
+    /// result to `ledger`: failed or timed-out attempts are retried up to
+    /// `max_retries` times at deterministically jittered points (rng draws
+    /// happen *only* on the failure path, so clean runs are bit-identical
+    /// across policies), and an exhausted point is recorded at its original
+    /// coordinates with a finite imputed evaluation, indexed in
+    /// [`RecoveryLog::imputed`].
     fn evaluate_with_policy(
         &self,
         problem: &dyn Problem,
         x: Vec<f64>,
         rng: &mut StdRng,
-        recovery: &mut RecoveryLog,
-        history: &[(Vec<f64>, Evaluation)],
-    ) -> (Vec<f64>, Evaluation, bool) {
+        ledger: &mut RunLedger,
+    ) {
         let policy = &self.config.failure;
         let original = x.clone();
         let mut point = x;
         for attempt in 0..=policy.max_retries {
             let outcome = problem.try_evaluate(&point);
+            let recovery = &mut ledger.recovery;
             match outcome {
                 EvalOutcome::Ok(eval)
                     if eval.objective.is_finite()
                         && eval.constraints.iter().all(|g| g.is_finite()) =>
                 {
-                    return (point, eval, false);
+                    ledger.record(point, eval, false);
+                    return;
                 }
                 // An override returning Ok with non-finite values is a
                 // failure regardless — the surrogates must never see NaN.
@@ -739,26 +751,21 @@ impl<T: SurrogateTrainer> BayesOpt<T> {
                 }
             }
         }
-        let eval = self.impute_failure(problem, history, recovery);
-        recovery.imputed.push(history.len());
-        (original, eval, true)
+        let eval = self.impute_failure(problem, ledger);
+        ledger.record(original, eval, true);
     }
 
     /// Builds the finite stand-in evaluation for a point whose retries are
     /// exhausted, per [`FailureAction`].  Only *real* (non-imputed) history
     /// entries inform the imputed values, so repeated failures cannot ratchet
     /// the imputation ever further.
-    fn impute_failure(
-        &self,
-        problem: &dyn Problem,
-        history: &[(Vec<f64>, Evaluation)],
-        recovery: &RecoveryLog,
-    ) -> Evaluation {
+    fn impute_failure(&self, problem: &dyn Problem, ledger: &RunLedger) -> Evaluation {
         let action = self.config.failure.on_exhausted;
-        let real: Vec<&Evaluation> = history
+        let real: Vec<&Evaluation> = ledger
+            .history
             .iter()
             .enumerate()
-            .filter(|(i, _)| !recovery.imputed.contains(i))
+            .filter(|(i, _)| !ledger.recovery.imputed.contains(i))
             .map(|(_, (_, e))| e)
             .collect();
         let mut worst = f64::NEG_INFINITY;
@@ -829,23 +836,27 @@ impl<T: SurrogateTrainer> BayesOpt<T> {
         if let Err(details) = self.config.failure.validate() {
             return Err(BoError::InvalidConfig { details });
         }
+        if let Err(details) = self.trainer.validate() {
+            return Err(BoError::InvalidConfig { details });
+        }
         Ok(())
     }
 
-    /// Brings `models` up to date with `history` (full fit or incremental
-    /// update, per the configured [`RefitPolicy`]), then maximises the
-    /// acquisition function over a candidate set scored in one batch through
-    /// the buffer-reusing prediction path.
+    /// Brings the surrogates up to date with the ledger's history (full fit
+    /// or incremental update, per the configured [`RefitPolicy`]), then
+    /// maximises the acquisition function over a candidate set scored in one
+    /// batch through the buffer-reusing prediction path.
     fn next_candidate(
         &self,
         problem: &dyn Problem,
-        history: &[(Vec<f64>, Evaluation)],
-        state: &mut SurrogateState<T::Model>,
+        ledger: &mut RunLedger,
+        surrogate: &mut SurrogateState<T::Model>,
         rng: &mut StdRng,
     ) -> Result<Vec<f64>, BoError> {
         let dim = problem.dim();
-        match self.refresh_models(problem, history, state, rng) {
-            Ok(true) => state.full_refits += 1,
+        let SurrogateState { models, scores } = surrogate;
+        match self.refresh_models(problem, ledger, models, rng) {
+            Ok(true) => ledger.full_refits += 1,
             Ok(false) => {}
             Err(RefreshError::Fit(reason)) => {
                 return Err(BoError::SurrogateTraining {
@@ -857,15 +868,10 @@ impl<T: SurrogateTrainer> BayesOpt<T> {
                 return Err(BoError::Internal { details });
             }
         }
-        let SurrogateState {
-            models,
-            scores,
-            suggest,
-            ..
-        } = state;
         let fitted = models.as_ref().ok_or_else(|| BoError::Internal {
             details: "refresh_models succeeded without populating the model slot".to_string(),
         })?;
+        let history = &ledger.history;
 
         // Incumbent: best feasible objective, if any.
         let tau = history
@@ -924,29 +930,27 @@ impl<T: SurrogateTrainer> BayesOpt<T> {
             scores,
         };
         let choice = self.config.strategy.propose(&context, &mut oracle, rng);
-        suggest.record(started.elapsed().as_nanos() as u64);
+        ledger.suggest.record(started.elapsed().as_nanos() as u64);
         Ok(choice)
     }
 
-    /// Ensures `models` reflects `history`, returning `true` when a *full*
-    /// fit was performed and `false` when the models were kept or
+    /// Ensures `models` reflects the ledger's history, returning `true` when
+    /// a *full* fit was performed and `false` when the models were kept or
     /// incrementally updated.
     ///
-    /// With [`RefitPolicy::Fixed`] this is the cadence logic: a full fit when
-    /// due (first call, cadence reached, or the history did not grow by
-    /// exactly one point), otherwise the trainers' incremental
-    /// single-observation update, falling back to a full fit when a trainer
-    /// does not support updates or reports a failure.
-    ///
-    /// With [`RefitPolicy::NllDrift`] the incremental update runs *first*
-    /// (inside the `max_gap` window): it both absorbs the observation and
-    /// refreshes the surrogates' maintained likelihood, whose per-point
-    /// change since the last full fit is the drift the policy thresholds.
-    /// When drift triggers, the full fit warm-starts from the incrementally
-    /// updated models — whose hyper-parameters and networks are frozen
-    /// copies of the last full fit's, so the fit is bit-identical to one
-    /// warm-started from those (the `threshold = 0` ≡ always-refit
-    /// equivalence the tests pin).
+    /// Both policies decide in one flow.  Inside the policy's `max_gap`
+    /// window the incremental update runs *first*: it absorbs the newest
+    /// observation and refreshes the surrogates' maintained likelihood,
+    /// whose per-point change since the last full fit is the drift
+    /// [`RefitPolicy::due`] then thresholds.  `Fixed(k)` is a drift policy
+    /// whose gap band is `[k, k]`: below gap `k` `due` is false, so the
+    /// update is kept, and at gap `k` the update is skipped for a full fit.  When drift triggers, the full fit warm-starts from the
+    /// incrementally updated models, whose hyper-parameters and networks
+    /// are frozen copies of the last full fit's, so the fit is bit-identical
+    /// to one warm-started from those (the `threshold = 0` ≡ always-refit
+    /// equivalence the tests pin).  A first call, a history that did not
+    /// grow by exactly one point, or a trainer that cannot update also fits
+    /// in full.
     ///
     /// Full fits go through [`SurrogateTrainer::fit_many`], handing the
     /// trainer every output (objective plus constraints) in one call so
@@ -958,17 +962,16 @@ impl<T: SurrogateTrainer> BayesOpt<T> {
     fn refresh_models(
         &self,
         problem: &dyn Problem,
-        history: &[(Vec<f64>, Evaluation)],
-        state: &mut SurrogateState<T::Model>,
+        ledger: &mut RunLedger,
+        models: &mut Option<FittedModels<T::Model>>,
         rng: &mut StdRng,
     ) -> Result<bool, RefreshError> {
+        let history = &ledger.history;
         let n = history.len();
         let policy = self.config.refit;
-        let models = &mut state.models;
 
         if let Some(fitted) = models.as_mut() {
             let gap = n.saturating_sub(fitted.last_full_fit);
-            let grew_by_one = n == fitted.trained_on + 1;
             if n == fitted.trained_on {
                 // Nothing new to learn (e.g. repeated suggest on a static
                 // history); a fixed cadence may still owe a full fit after a
@@ -976,63 +979,42 @@ impl<T: SurrogateTrainer> BayesOpt<T> {
                 if !policy.due(gap, fitted.drift()) {
                     return Ok(false);
                 }
-            } else if grew_by_one {
-                match policy {
-                    RefitPolicy::Fixed(_) => {
-                        if !policy.due(gap, None) {
-                            let (x_new, eval) = &history[n - 1];
-                            if let Some(updated) =
-                                self.try_incremental_update(fitted, x_new, eval, rng)
+            } else if n == fitted.trained_on + 1 {
+                // Without a drift reference (the surrogates do not track an
+                // NLL) the conservative decision is known up front — skip
+                // the O(N²) incremental update whose result a full fit would
+                // immediately replace.
+                let refit_known_up_front =
+                    fitted.fit_nll_per_point.is_none() && policy.due(gap, None);
+                if gap < policy.max_gap() && !refit_known_up_front {
+                    let (x_new, eval) = &history[n - 1];
+                    if let Some(updated) = self.try_incremental_update(fitted, x_new, eval, rng) {
+                        let due = policy.due(gap, updated.drift());
+                        // Keep the absorbed observation either way: if a
+                        // full fit follows it warm-starts from these
+                        // (frozen-parameter) models.
+                        *fitted = updated;
+                        if !due {
+                            return Ok(false);
+                        }
+                        // An imputed stand-in moves the likelihood by
+                        // construction, so drift it triggers is not a
+                        // model-quality signal.  Cap how many consecutive
+                        // failure-driven full refits the policy may charge
+                        // (FailurePolicy::max_failure_refits); suppressed
+                        // ones stay on the incremental path.
+                        if ledger.recovery.imputed.last() == Some(&(n - 1)) {
+                            if ledger.consecutive_failure_refits
+                                >= self.config.failure.max_failure_refits
                             {
-                                *fitted = updated;
+                                ledger.recovery.failure_refits_suppressed += 1;
                                 return Ok(false);
                             }
-                            // Unsupported / failed update: full fit below.
+                            ledger.consecutive_failure_refits += 1;
                         }
                     }
-                    RefitPolicy::NllDrift { max_gap, .. } => {
-                        // Without a drift reference (the surrogates do not
-                        // track an NLL) the conservative decision is known up
-                        // front — skip the O(N²) incremental update whose
-                        // result a full fit would immediately replace.
-                        let refit_known_up_front =
-                            fitted.fit_nll_per_point.is_none() && policy.due(gap, None);
-                        if gap < max_gap.max(1) && !refit_known_up_front {
-                            let (x_new, eval) = &history[n - 1];
-                            if let Some(updated) =
-                                self.try_incremental_update(fitted, x_new, eval, rng)
-                            {
-                                let due = policy.due(gap, updated.drift());
-                                // Keep the absorbed observation either way:
-                                // if a full fit follows it warm-starts from
-                                // these (frozen-parameter) models.
-                                *fitted = updated;
-                                if !due {
-                                    return Ok(false);
-                                }
-                                // An imputed stand-in moves the likelihood by
-                                // construction, so drift it triggers is not a
-                                // model-quality signal.  Cap how many
-                                // consecutive failure-driven full refits the
-                                // policy may charge (FailurePolicy::
-                                // max_failure_refits); suppressed ones stay
-                                // on the incremental path.
-                                let latest_imputed =
-                                    n > 0 && state.recovery.imputed.last() == Some(&(n - 1));
-                                if latest_imputed {
-                                    if state.consecutive_failure_refits
-                                        >= self.config.failure.max_failure_refits
-                                    {
-                                        state.recovery.failure_refits_suppressed += 1;
-                                        return Ok(false);
-                                    }
-                                    state.consecutive_failure_refits += 1;
-                                }
-                            }
-                            // Unsupported / failed update: full fit below
-                            // (drift unknown, conservative).
-                        }
-                    }
+                    // Unsupported / failed update: full fit below (drift
+                    // unknown, conservative).
                 }
             }
             // Any other history shape (shrunk, jumped): full fit below.
@@ -1063,7 +1045,7 @@ impl<T: SurrogateTrainer> BayesOpt<T> {
                     // rather than discarding the iteration.  Their
                     // `trained_on` no longer matches the history, so the
                     // next iteration attempts a full fit again.
-                    state.recovery.degraded_refits += 1;
+                    ledger.recovery.degraded_refits += 1;
                     return Ok(false);
                 }
                 return Err(RefreshError::Fit(reason));
@@ -1093,8 +1075,8 @@ impl<T: SurrogateTrainer> BayesOpt<T> {
         // (jittered factorizations, dropped ensemble members) in the
         // run-level log.
         let resilience = fitted.resilience_total();
-        state.recovery.jitter_promotions += resilience.jitter_recoveries;
-        state.recovery.member_drops += resilience.dropped_members;
+        ledger.recovery.jitter_promotions += resilience.jitter_recoveries;
+        ledger.recovery.member_drops += resilience.dropped_members;
         *models = Some(fitted);
         Ok(true)
     }
@@ -1192,19 +1174,21 @@ enum RefreshError {
     Internal(String),
 }
 
-/// The surrogate side of the loop state: the fitted models, the scoring
-/// buffers they are queried through, and the refit/recovery bookkeeping.
+/// The surrogate side of the loop state: the fitted models and the scoring
+/// buffers they are queried through.
 struct SurrogateState<M> {
     models: Option<FittedModels<M>>,
     scores: ScoreBuffers,
-    full_refits: usize,
-    /// Acquisition-maximization cost accumulated so far (see [`SuggestCost`]).
-    suggest: SuggestCost,
-    recovery: RecoveryLog,
-    /// Consecutive full refits triggered by drift right after an *imputed*
-    /// observation — capped by [`FailurePolicy::max_failure_refits`], reset
-    /// by any real observation.
-    consecutive_failure_refits: usize,
+}
+
+impl<M> SurrogateState<M> {
+    /// `models` with fresh (empty) scoring buffers.
+    fn new(models: Option<FittedModels<M>>) -> Self {
+        SurrogateState {
+            models,
+            scores: ScoreBuffers::new(),
+        }
+    }
 }
 
 /// Resumable state of an in-flight optimization run, produced by
@@ -1213,7 +1197,7 @@ struct SurrogateState<M> {
 /// Checkpoint it with [`BayesOpt::snapshot`] / [`BayesOpt::resume`]; turn it
 /// into the final [`OptimizationResult`] with [`BayesOpt::finish`].
 pub struct BoState<M> {
-    history: Vec<(Vec<f64>, Evaluation)>,
+    ledger: RunLedger,
     rng: StdRng,
     surrogate: SurrogateState<M>,
 }
@@ -1221,28 +1205,36 @@ pub struct BoState<M> {
 impl<M> BoState<M> {
     /// The evaluations performed so far, in order.
     pub fn evaluations(&self) -> &[(Vec<f64>, Evaluation)] {
-        &self.history
+        &self.ledger.history
     }
 
     /// The recovery log accumulated so far.
     pub fn recovery(&self) -> &RecoveryLog {
-        &self.surrogate.recovery
+        &self.ledger.recovery
     }
 
     /// Number of full surrogate refits performed so far.
     pub fn full_refits(&self) -> usize {
-        self.surrogate.full_refits
+        self.ledger.full_refits
     }
 }
 
 /// Snapshot format version written by this build (bumped on any breaking
 /// layout change; [`BayesOpt::resume`] refuses other versions).  Version 2
 /// added the [`SuggestStrategy`] configuration field and the accumulated
-/// [`SuggestCost`] counters.
-const SNAPSHOT_VERSION: u32 = 2;
+/// [`SuggestCost`] counters.  Version 3 moved the history, the refit and
+/// suggestion counters, the recovery log and the failure-refit streak
+/// from the top level into one `ledger` object, the loop's single record
+/// of the run, so a version-2 snapshot no longer parses.
+const SNAPSHOT_VERSION: u32 = 3;
 
 /// A versioned, serializable checkpoint of an optimization run — see
 /// [`BayesOpt::snapshot`] and [`BayesOpt::resume`].
+///
+/// It holds the run's configuration, its ledger cloned whole (the
+/// evaluation history, the full-refit count, the [`SuggestCost`], the
+/// [`RecoveryLog`] and the failure-refit streak), the rng state and the
+/// fitted surrogates with their refit bookkeeping.
 ///
 /// Serialize it with [`BoSnapshot::to_json`] (every finite `f64`
 /// round-trips bit-exactly, NaN and ±inf round-trip as themselves) or
@@ -1251,12 +1243,8 @@ const SNAPSHOT_VERSION: u32 = 2;
 pub struct BoSnapshot {
     version: u32,
     config: BoConfig,
-    history: Vec<(Vec<f64>, Evaluation)>,
+    ledger: RunLedger,
     rng_state: [u64; 4],
-    full_refits: usize,
-    suggest_cost: SuggestCost,
-    recovery: RecoveryLog,
-    consecutive_failure_refits: usize,
     models: Option<ModelSnapshot>,
 }
 
@@ -1268,7 +1256,7 @@ impl BoSnapshot {
 
     /// Number of evaluations the checkpoint contains.
     pub fn num_evaluations(&self) -> usize {
-        self.history.len()
+        self.ledger.history.len()
     }
 
     /// Serializes the snapshot to a JSON string.
@@ -1520,40 +1508,71 @@ mod tests {
     }
 
     #[test]
-    fn untrainable_ensembles_fall_back_instead_of_aborting_the_run() {
+    fn untrainable_ensembles_are_rejected_when_the_run_starts() {
         let fast = EnsembleConfig::fast();
         let untrainable = [
-            EnsembleConfig {
-                members: 0,
-                ..fast.clone()
-            },
-            EnsembleConfig {
-                member_config: crate::NeuralGpConfig {
-                    feature_dim: 0,
-                    ..fast.member_config.clone()
+            (
+                "members",
+                EnsembleConfig {
+                    members: 0,
+                    ..fast.clone()
                 },
-                ..fast.clone()
-            },
-            EnsembleConfig {
-                member_config: crate::NeuralGpConfig {
-                    hidden_dims: vec![0, 8],
-                    ..fast.member_config.clone()
+            ),
+            (
+                "feature_dim",
+                EnsembleConfig {
+                    member_config: crate::NeuralGpConfig {
+                        feature_dim: 0,
+                        ..fast.member_config.clone()
+                    },
+                    ..fast.clone()
                 },
-                ..fast.clone()
-            },
+            ),
+            (
+                "hidden_dims",
+                EnsembleConfig {
+                    member_config: crate::NeuralGpConfig {
+                        hidden_dims: vec![0, 8],
+                        ..fast.member_config.clone()
+                    },
+                    ..fast.clone()
+                },
+            ),
+            (
+                "log-noise clamp band",
+                EnsembleConfig {
+                    member_config: crate::NeuralGpConfig {
+                        min_log_noise: 0.5,
+                        max_log_noise: -0.5,
+                        ..fast.member_config.clone()
+                    },
+                    ..fast.clone()
+                },
+            ),
         ];
-        for config in untrainable {
+        let problem = ConstrainedBranin::new();
+        let config = BoConfig::fast(4, 7).with_seed(1);
+        let trainable = BayesOpt::neural_with(config.clone(), fast.clone());
+        let snapshot = trainable.snapshot(&trainable.start(&problem).unwrap());
+        for (setting, ensemble) in untrainable {
             for parallel in [false, true] {
-                let config = EnsembleConfig {
+                let ensemble = EnsembleConfig {
                     parallel,
-                    ..config.clone()
+                    ..ensemble.clone()
                 };
-                let bo = BayesOpt::neural_with(BoConfig::fast(4, 7).with_seed(1), config.clone());
-                let result = bo
-                    .run(&ConstrainedBranin::new())
-                    .unwrap_or_else(|e| panic!("{config:?}: {e}"));
-                assert_eq!(result.num_evaluations(), 7, "{config:?}");
-                assert_eq!(result.recovery().fallback_suggests, 3, "{config:?}");
+                let bo = BayesOpt::neural_with(config.clone(), ensemble.clone());
+                match bo.run(&problem) {
+                    Err(BoError::InvalidConfig { details }) => {
+                        assert!(details.contains(setting), "{ensemble:?}: {details}");
+                    }
+                    other => panic!("{ensemble:?}: expected InvalidConfig, got {other:?}"),
+                }
+                // A checkpoint taken under the same loop configuration does
+                // not make the trainer trainable either.
+                assert!(
+                    matches!(bo.resume(&snapshot), Err(BoError::InvalidConfig { .. })),
+                    "{ensemble:?}: resume accepted an untrainable trainer"
+                );
             }
         }
     }
@@ -2112,6 +2131,54 @@ mod tests {
         assert_eq!(result.full_refits(), 3, "recovery: {rec:?}");
         // The remaining 3 drift triggers were suppressed.
         assert_eq!(rec.failure_refits_suppressed, 3, "recovery: {rec:?}");
+    }
+
+    #[test]
+    fn a_run_resumed_mid_failure_burst_ends_with_the_same_ledger() {
+        // Guided calls 6..10 fail and are imputed; a drift threshold of 0
+        // makes every one of them trigger a refit, so the failure-refit
+        // streak climbs to its cap of 2 and then suppresses.  The run is
+        // checkpointed through JSON with the streak open, resumed on the
+        // same problem (whose call counter carries the burst on), and must
+        // end with the uninterrupted run's ledger: history, refit and
+        // suggestion counts, recovery log and streak.
+        let config = BoConfig::fast(6, 14)
+            .with_seed(23)
+            .with_failure_policy(FailurePolicy {
+                max_retries: 0,
+                on_exhausted: FailureAction::ImputeWorst,
+                max_failure_refits: 2,
+                ..FailurePolicy::default()
+            })
+            .with_refit_policy(RefitPolicy::NllDrift {
+                threshold: 0.0,
+                min_gap: 1,
+                max_gap: 1000,
+            });
+        let bo = fast_neural(config);
+        let burst = || BurstFailure::new(ConstrainedBranin::new(), 6, 10);
+        let timeless = |mut result: OptimizationResult| {
+            result.ledger.suggest.nanos = 0;
+            result.ledger
+        };
+        let reference = timeless(bo.run(&burst()).unwrap());
+        assert!(reference.recovery.failure_refits_suppressed > 0);
+
+        let problem = burst();
+        let mut state = bo.start(&problem).unwrap();
+        for _ in 0..3 {
+            assert!(bo.step(&problem, &mut state).unwrap());
+        }
+        assert!(
+            state.ledger.consecutive_failure_refits > 0,
+            "no open failure-refit streak at the checkpoint: {:?}",
+            state.ledger
+        );
+        let snapshot = BoSnapshot::from_json(&bo.snapshot(&state).to_json()).unwrap();
+        drop(state);
+        let mut resumed = bo.resume(&snapshot).unwrap();
+        while bo.step(&problem, &mut resumed).unwrap() {}
+        assert_eq!(timeless(bo.finish(resumed)), reference);
     }
 
     #[test]

@@ -364,6 +364,16 @@ impl NeuralGpEnsembleTrainer {
 impl SurrogateTrainer for NeuralGpEnsembleTrainer {
     type Model = NeuralGpEnsemble;
 
+    /// Rejects an ensemble without members and a member configuration no
+    /// member could train with ([`NeuralGpConfig`]'s feature and hidden
+    /// widths and clamp bands).
+    fn validate(&self) -> Result<(), String> {
+        if self.config.members == 0 {
+            return Err("ensemble members must be at least 1".to_string());
+        }
+        self.config.member_config.validate()
+    }
+
     fn fit(
         &self,
         xs: &[Vec<f64>],

@@ -91,7 +91,10 @@
 //!   [`RecoveryLog`] ([`OptimizationResult::recovery`]); `is_clean()` is the
 //!   loop's promise that nothing above happened.
 //! * **Errors.**  What remains is a typed [`BoError`]: `InvalidConfig` /
-//!   `InvalidProblem` before the loop starts, `SurrogateTraining` when even
+//!   `InvalidProblem` before the loop starts (the trainer's own configuration
+//!   is checked there too, through [`SurrogateTrainer::validate`], so an
+//!   ensemble without members or with a zero-width network is refused up
+//!   front rather than run as random search), `SurrogateTraining` when even
 //!   the degradation ladder is out of options, `SnapshotMismatch` when a
 //!   checkpoint can't be restored, and `Internal` for violated loop
 //!   invariants (which abort rather than corrupt state).
@@ -100,13 +103,19 @@
 //!
 //! The loop is also re-entrant: [`BayesOpt::start`] / [`BayesOpt::step`] /
 //! [`BayesOpt::finish`] expose one model-guided iteration at a time over a
-//! [`BoState`], [`BayesOpt::snapshot`] captures a versioned [`BoSnapshot`]
-//! (history, RNG state, refit bookkeeping, recovery log and the fitted model
-//! payloads) that serialises to JSON with bit-exact floats, and
+//! [`BoState`].  The state keeps the run's record once, in one ledger: the
+//! evaluation history, the full-refit count, the [`SuggestCost`], the
+//! [`RecoveryLog`] and the streak of failure-driven refits.
+//! [`BayesOpt::snapshot`] captures a versioned [`BoSnapshot`] (the ledger
+//! cloned whole, the RNG state and the fitted model payloads with their refit
+//! bookkeeping) that serialises to JSON with bit-exact floats,
 //! [`BayesOpt::resume`] restores it after validating the snapshot version and
-//! configuration.  A resumed run continues **bit-identically** to the
-//! uninterrupted one — including mid-drift-window, where the snapshot carries
-//! the incrementally updated surrogates and the NLL drift reference exactly.
+//! configuration, and [`BayesOpt::finish`] moves the ledger into the
+//! [`OptimizationResult`].  A resumed run continues **bit-identically** to
+//! the uninterrupted one and ends with the same ledger — including
+//! mid-drift-window, where the snapshot carries the incrementally updated
+//! surrogates and the NLL drift reference exactly, and mid-failure-burst,
+//! where it carries the open failure-refit streak.
 //!
 //! # Serving many sessions
 //!

@@ -83,6 +83,44 @@ impl NeuralGpConfig {
             ..NeuralGpConfig::default()
         }
     }
+
+    /// Rejects a configuration no fit could succeed with: a zero feature
+    /// dimension, a zero-width hidden layer, or an inverted clamp band.
+    /// The optimization loop checks it once when a run starts
+    /// ([`crate::SurrogateTrainer::validate`]).
+    pub(crate) fn validate(&self) -> Result<(), String> {
+        if self.feature_dim == 0 {
+            return Err("neural-GP feature_dim must be at least 1".to_string());
+        }
+        if self.hidden_dims.contains(&0) {
+            return Err(format!(
+                "neural-GP hidden_dims must all be at least 1, got {:?}",
+                self.hidden_dims
+            ));
+        }
+        self.validate_clamps()
+    }
+
+    /// The clamp bands of `log σn` and `log σp` must be ordered and not
+    /// NaN; every fit checks this.
+    fn validate_clamps(&self) -> Result<(), String> {
+        if self.max_log_noise.is_nan()
+            || self.min_log_noise.is_nan()
+            || self.max_log_noise < self.min_log_noise
+        {
+            return Err(format!(
+                "invalid log-noise clamp band [{}, {}]",
+                self.min_log_noise, self.max_log_noise
+            ));
+        }
+        if self.prior_log_clamp.is_nan() || self.prior_log_clamp < 0.0 {
+            return Err(format!(
+                "prior_log_clamp must be non-negative, got {}",
+                self.prior_log_clamp
+            ));
+        }
+        Ok(())
+    }
 }
 
 /// A fitted neural-network Gaussian process (eqs. 8–12 of the paper).
@@ -236,21 +274,7 @@ impl NeuralGp {
         prev: Option<&NeuralGp>,
     ) -> Result<Self, String> {
         validate(xs, ys)?;
-        if config.max_log_noise.is_nan()
-            || config.min_log_noise.is_nan()
-            || config.max_log_noise < config.min_log_noise
-        {
-            return Err(format!(
-                "invalid log-noise clamp band [{}, {}]",
-                config.min_log_noise, config.max_log_noise
-            ));
-        }
-        if config.prior_log_clamp.is_nan() || config.prior_log_clamp < 0.0 {
-            return Err(format!(
-                "prior_log_clamp must be non-negative, got {}",
-                config.prior_log_clamp
-            ));
-        }
+        config.validate_clamps()?;
         let dim = xs[0].len();
         let x = Matrix::from_rows(xs);
         let (y, standardizer) = if config.standardize_targets {
@@ -519,6 +543,10 @@ impl NeuralGpTrainer {
 
 impl SurrogateTrainer for NeuralGpTrainer {
     type Model = NeuralGp;
+
+    fn validate(&self) -> Result<(), String> {
+        self.config.validate()
+    }
 
     fn fit(&self, xs: &[Vec<f64>], ys: &[f64], rng: &mut StdRng) -> Result<NeuralGp, String> {
         NeuralGp::fit(xs, ys, &self.config, rng)

@@ -23,10 +23,7 @@ pub use synthetic::{
 
 // Re-exported so downstream crates (e.g. `nnbo-serve`) can build sweep
 // problems without depending on `nnbo-circuits` directly.
-pub use nnbo_circuits::{
-    CornerAggregation, CornerContext, CornerOutput, CornerSweep, PvtCorner, SweepMeasurement,
-    Testbench,
-};
+pub use nnbo_circuits::{CornerContext, CornerSweep, PvtCorner, Testbench};
 
 use serde::{Deserialize, Serialize};
 

@@ -109,6 +109,21 @@ pub trait SurrogateTrainer: Send + Sync {
     /// The model type this trainer produces.
     type Model: SurrogateModel;
 
+    /// Checks the trainer's own configuration once, before a run starts.
+    ///
+    /// `BayesOpt::start` and `BayesOpt::resume` return an error here as
+    /// `BoError::InvalidConfig`, so a configuration that no fit could ever
+    /// succeed with (an ensemble without members, a zero-width network)
+    /// fails up front instead of running to the end as random search.  The
+    /// default accepts every configuration.
+    ///
+    /// # Errors
+    ///
+    /// A human-readable reason naming the offending setting.
+    fn validate(&self) -> Result<(), String> {
+        Ok(())
+    }
+
     /// Trains a surrogate on `(xs, ys)`, where `xs` are normalised design points.
     ///
     /// # Errors

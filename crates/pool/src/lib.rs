@@ -159,7 +159,10 @@ enum Work {
 /// atomic).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct PoolStats {
-    /// Detached jobs that ran to completion (panicked ones included).
+    /// Detached jobs a worker has taken, panicked ones included.  A job is
+    /// counted when its worker takes it, before its closure runs, so a job
+    /// that signals its caller from inside the closure is already counted
+    /// when the caller wakes.
     pub jobs_executed: usize,
     /// Scoped-batch tasks executed (by workers or submitting threads).
     pub batch_tasks_executed: usize,
@@ -604,9 +607,9 @@ fn worker_loop(inner: &Arc<PoolInner>) -> WorkerExit {
             Work::Job(job) => {
                 ON_POOL_JOB.with(|c| c.set(true));
                 RECYCLE_REQUESTED.with(|c| c.set(false));
+                inner.counters.jobs_executed.fetch_add(1, Ordering::Relaxed);
                 let outcome = catch_unwind(AssertUnwindSafe(job));
                 ON_POOL_JOB.with(|c| c.set(false));
-                inner.counters.jobs_executed.fetch_add(1, Ordering::Relaxed);
                 let recycle = match outcome {
                     Err(_) => {
                         inner.counters.job_panics.fetch_add(1, Ordering::Relaxed);
@@ -870,6 +873,25 @@ mod tests {
         assert_eq!(stats.job_panics, 3);
         assert_eq!(stats.worker_restarts, 1);
         assert_eq!(stats.restart_budget_exhausted, 2);
+    }
+
+    #[test]
+    fn a_detached_job_is_counted_before_it_signals_its_caller() {
+        // A job that releases a waiting caller from inside its closure (as
+        // a service's step job releases `drain`) must already be counted
+        // when the caller wakes, not only once the closure returns.
+        let pool = WorkerPool::new(1);
+        let (started_tx, started_rx) = std::sync::mpsc::channel::<()>();
+        let (release_tx, release_rx) = std::sync::mpsc::channel::<()>();
+        pool.spawn(move || {
+            let _ = started_tx.send(());
+            let _ = release_rx.recv_timeout(Duration::from_secs(10));
+        });
+        started_rx
+            .recv_timeout(Duration::from_secs(10))
+            .expect("the job starts");
+        assert_eq!(pool.stats().jobs_executed, 1);
+        let _ = release_tx.send(());
     }
 
     #[test]
