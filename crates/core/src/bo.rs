@@ -641,12 +641,7 @@ impl<T: SurrogateTrainer> BayesOpt<T> {
             return Err(BoError::InvalidConfig { details });
         }
         if snapshot.version != SNAPSHOT_VERSION {
-            return Err(BoError::SnapshotMismatch {
-                details: format!(
-                    "snapshot version {} (this build writes {SNAPSHOT_VERSION})",
-                    snapshot.version
-                ),
-            });
+            return Err(version_mismatch(snapshot.version));
         }
         if snapshot.config != self.config {
             return Err(BoError::SnapshotMismatch {
@@ -1268,12 +1263,28 @@ impl BoSnapshot {
     ///
     /// # Errors
     ///
-    /// Returns [`BoError::SnapshotMismatch`] when the payload does not parse
-    /// as a snapshot.
+    /// Returns [`BoError::SnapshotMismatch`] when the payload was written at
+    /// another format version or does not parse as a snapshot.
     pub fn from_json(text: &str) -> Result<Self, BoError> {
-        serde::from_json_str(text).map_err(|e| BoError::SnapshotMismatch {
+        let unparsed = |e: &dyn std::fmt::Display| BoError::SnapshotMismatch {
             details: format!("snapshot JSON does not parse: {e}"),
-        })
+        };
+        let value = serde::json::from_str(text).map_err(|e| unparsed(&e))?;
+        // Another version's layout would fail on its first changed field, so
+        // the version is read before the rest.
+        if let Some(Ok(version)) = value.get("version").map(u32::from_value) {
+            if version != SNAPSHOT_VERSION {
+                return Err(version_mismatch(version));
+            }
+        }
+        Self::from_value(&value).map_err(|e| unparsed(&e))
+    }
+}
+
+/// The error for a snapshot written at another format version.
+fn version_mismatch(version: u32) -> BoError {
+    BoError::SnapshotMismatch {
+        details: format!("snapshot version {version} (this build writes {SNAPSHOT_VERSION})"),
     }
 }
 
@@ -2086,6 +2097,32 @@ mod tests {
             BoSnapshot::from_json("not a snapshot"),
             Err(BoError::SnapshotMismatch { .. })
         ));
+    }
+
+    #[test]
+    fn an_older_snapshot_version_is_reported_as_a_version_mismatch() {
+        let problem = ConstrainedBranin::new();
+        let bo = fast_neural(BoConfig::fast(6, 12).with_seed(1));
+        let mut state = bo.start(&problem).unwrap();
+        assert!(bo.step(&problem, &mut state).unwrap());
+        // Version 2 kept the ledger's fields at the top level.
+        let Value::Map(fields) = bo.snapshot(&state).to_value() else {
+            panic!("a snapshot serializes to a map");
+        };
+        let mut v2 = Vec::new();
+        for (key, value) in fields {
+            match (key.as_str(), value) {
+                ("version", _) => v2.push((key, Value::U64(2))),
+                ("ledger", Value::Map(ledger)) => v2.extend(ledger),
+                (_, value) => v2.push((key, value)),
+            }
+        }
+        match BoSnapshot::from_json(&serde::json::to_string(&Value::Map(v2))) {
+            Err(BoError::SnapshotMismatch { details }) => {
+                assert_eq!(details, "snapshot version 2 (this build writes 3)");
+            }
+            other => panic!("expected a version mismatch, got {other:?}"),
+        }
     }
 
     #[test]

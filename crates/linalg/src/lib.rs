@@ -29,10 +29,13 @@
 //!    squared-exponential pass and the Adam update ([`adam_update`]).
 //! 3. **`"avx512f"`: direct kernels** — everything of tier 2, except
 //!    that a product whose shared dimension fits one 256-deep `k`-block runs
-//!    a direct driver: only B is packed, an `8 × 8` tile of 512-bit
+//!    a direct driver: A is never packed, an `8 × 8` tile of 512-bit
 //!    accumulators broadcasts A straight from its row or column view, and
 //!    each output element is stored once (masked stores on ragged columns).
-//!    Deeper products keep the tier-2 packed driver.  The Cholesky panel,
+//!    B is packed only for `A·Bᵀ`; in `A·B` and `Aᵀ·B` the tile's 8 columns
+//!    of B are contiguous at each depth, so the tile reads them from the
+//!    caller's buffer with masked loads.  Deeper products keep the tier-2
+//!    packed driver.  The Cholesky panel,
 //!    the triangular inverse inside [`Cholesky::symmetric_inverse_into`], and
 //!    the GP likelihood's pairwise kernels ([`weighted_sq_dist_lower`],
 //!    [`add_scaled_sq_diffs`]) also run direct AVX-512F kernels that keep
@@ -44,11 +47,13 @@
 //! the shared dimension in ascending order, starting from `+0.0`, added to
 //! `+0.0` at the end (tier 2 adds its tile into the zeroed output; tier 3
 //! adds `0.0` before its store), which turns a `−0.0` chain result into
-//! `+0.0` on both.  Zero-padded lanes of a ragged panel are never stored,
+//! `+0.0` on both.  Zero-padded or masked-off lanes of a ragged panel are
+//! never stored, the source of B (packed or in place) changes no live lane,
 //! and the output-row band split across threads is the same, so results do
-//! not depend on the thread count either.  A unit test
-//! compares the two drivers bit for bit on ragged shapes, all three
-//! orientations and inputs holding `−0.0`, `±∞` and NaN.  The portable
+//! not depend on the thread count either.  Unit tests compare the two
+//! drivers bit for bit on ragged shapes, all three orientations, B packed
+//! and read in place (also from a view into a wider buffer) and inputs
+//! holding `−0.0`, `±∞` and NaN.  The portable
 //! tier sums in a different order and matches the SIMD tiers to rounding
 //! only.
 //!
@@ -76,7 +81,7 @@
 //! | `unsafe fn` | called from | CPU features | memory bounds |
 //! |---|---|---|---|
 //! | `micro_kernel_4x8` | `gemm_band`, `syrk_band` | `simd_active()` was checked by the dispatching caller (`kernels`, `Matrix`, `Cholesky`) | reads `kc·4` values of the stack A panel (`kc ≤ 256`, panel holds `256·4`) and `kc·8` of a B panel slice taken with checked indexing; writes the fixed `4 × 8` tile |
-//! | `direct_tile` | `gemm_direct` | `gemm_direct` asserts AVX-512F on entry | `gemm_direct` asserts that the A view covers `m × k`, that B is one `k`-block and that each band lies inside the `m × n` output; tiles never cross a band's rows or columns, and masked stores touch only the `width` live columns |
+//! | `direct_tile` | `direct_driver` (behind `gemm` and `gemm_direct`) | `direct_driver` asserts AVX-512F on entry | `direct_driver` asserts that the A view covers `m × k`, that B covers `k × n` (a packed B is one `k`-block of `⌈n/8⌉` panels; an in-place B is a column view whose element `(n − 1, k − 1)` lies inside its slice) and that each band lies inside the `m × n` output; tiles never cross a band's rows or columns, so every live B lane (depth below `k`, column below `n`) is inside B's slice, and masked loads and stores touch only the `width` live columns |
 //! | `panel_column` (and `panel_rows`) | `factor_panel`, from `Cholesky`'s panel step | `factor_panel` asserts AVX-512F; the caller selects it only when `avx512_active()` | `factor_panel` asserts that the factor holds `n × n` values and the panel lies inside it, and sizes its column-major copy `width × (rows + 8)`: a column's last 8-row group ends inside the column's padding |
 //! | `inverse_block` | `triangular_inverse_block`, from `Cholesky::symmetric_inverse_into` | `triangular_inverse_block` asserts AVX-512F; the caller selects it only when `avx512_active()` | asserts that the factor and the output hold `n × n` values (a deserialized factor is also checked square) and that the column block lies inside a row; lanes past the block are masked |
 //! | `weighted_sq_dist_lower_avx512` | `packed::weighted_sq_dist_lower`, behind the public function of the same name | the wrapper checks `avx512_active()` | the wrapper asserts `x` and its transpose hold `n × dim` values, the weights `dim` and the output `n × n`; loads and stores of a row's last pairs are masked at the diagonal |

@@ -293,8 +293,10 @@ impl Matrix {
     /// Matrix product `self * other`.
     ///
     /// Computed by an internal cache-blocked kernel; large shapes run in
-    /// row bands on the shared worker pool.  See [`Matrix::matmul_naive`]
-    /// for the reference implementation.
+    /// row bands on the shared worker pool.  On the AVX-512F tier a product
+    /// with `self.ncols() ≤ 256` reads both operands in place, with no
+    /// packed copy of `other`.  See [`Matrix::matmul_naive`] for the
+    /// reference implementation.
     ///
     /// # Panics
     ///
@@ -422,7 +424,9 @@ impl Matrix {
     /// Product `selfᵀ * other` without materialising the transpose.
     ///
     /// Computed by an internal k-unrolled kernel; large shapes run in row
-    /// bands on the shared worker pool.
+    /// bands on the shared worker pool.  On the AVX-512F tier a product with
+    /// `self.nrows() ≤ 256` reads both operands in place, with no packed
+    /// copy of `other`.
     ///
     /// # Panics
     ///

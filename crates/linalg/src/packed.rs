@@ -23,11 +23,15 @@
 //!   triangle, for Gram/normal matrices and the Cholesky trailing update), and
 //!   the elementwise FMA helpers the batched triangular sweeps use.
 //! * **Direct driver (AVX-512F)** — for a single-block product (`k ≤ KC`)
-//!   [`gemm`] skips A packing and the tile write-back: B is packed as above,
-//!   an `8 × 8` tile of eight 512-bit accumulators broadcasts A straight from
-//!   its [`Op`] view, and each output element is stored once.  Small products
-//!   (the neural-GP training epoch's `N ≤ 256`) spend most of the packed
-//!   driver's time in those two copies, not in the FMAs.
+//!   [`gemm`] skips A packing and the tile write-back: an `8 × 8` tile of
+//!   eight 512-bit accumulators broadcasts A straight from its [`Op`] view,
+//!   and each output element is stored once.  B is packed only when its
+//!   layout forces it: an [`Op::cols`] B (`A·B`, `Aᵀ·B`) already holds the
+//!   tile's 8 columns at each depth contiguously, so the tile loads them from
+//!   the caller's buffer with a masked load; an [`Op::rows`] B (`A·Bᵀ`) is
+//!   packed as above.  Small products (the neural-GP training epoch's
+//!   `N ≤ 256`) spend most of the packed driver's time in those copies, not
+//!   in the FMAs.
 //! * **Direct factorization and likelihood kernels (AVX-512F)** — the
 //!   Cholesky panel ([`factor_panel`]: one column sweep, 8 rows per
 //!   register), the triangular inverse ([`triangular_inverse_block`]: each
@@ -239,8 +243,10 @@ unsafe fn micro_kernel_4x8(ap: &[f64], bp: &[f64], kc: usize, tile: &mut [f64; M
 /// bands.  `a` and `b` are logical views (see [`Op`]); `out` is overwritten.
 ///
 /// Single-block products (`k ≤ KC`) run the direct driver when the AVX-512F
-/// tier is active; everything else runs the packed driver.  The two agree bit
-/// for bit (see the module notes).
+/// tier is active; everything else runs the packed driver.  The direct
+/// driver reads an [`Op::cols`] B (the `A·B` and `Aᵀ·B` orientations) in
+/// place and packs only an [`Op::rows`] B (`A·Bᵀ`), whose tile columns are
+/// not contiguous.  Every path agrees bit for bit (see the module notes).
 ///
 /// # Panics
 ///
@@ -258,12 +264,15 @@ pub(crate) fn gemm(a: Op, b: Op, m: usize, k: usize, n: usize, out: &mut [f64]) 
         out.fill(0.0);
         return;
     }
-    let packed_b = PackedB::new(&b, n, k);
     let threads = plan_threads(m, 2 * m * k * n);
     if k <= KC && crate::dispatch::avx512_active() {
-        gemm_direct(&a, &packed_b, m, n, threads, out);
+        if b.transposed {
+            direct_driver(&a, DirectB::InPlace(b), m, k, n, threads, out);
+        } else {
+            gemm_direct(&a, &PackedB::new(&b, n, k), m, n, threads, out);
+        }
     } else {
-        gemm_packed(&a, &packed_b, n, threads, out);
+        gemm_packed(&a, &PackedB::new(&b, n, k), n, threads, out);
     }
 }
 
@@ -276,22 +285,83 @@ fn gemm_packed(a: &Op, packed_b: &PackedB, n: usize, threads: usize, out: &mut [
     });
 }
 
-/// The direct driver: `out = a · B` for a single-block `packed_b`, with the
-/// AVX-512F tile.
+/// The direct driver over a packed B: `out = a · B` for a single-block
+/// `packed_b`, with the AVX-512F tile.
 ///
 /// # Panics
 ///
-/// Panics if the CPU lacks AVX-512F, `packed_b` has more than one `k`-block,
-/// `a` does not cover its `m × k` view or `out` does not hold `m × n` values.
+/// Panics if the CPU lacks AVX-512F, `packed_b` has more than one `k`-block
+/// or is not `n` columns wide, `a` does not cover its `m × k` view or `out`
+/// does not hold `m × n` values.
 fn gemm_direct(a: &Op, packed_b: &PackedB, m: usize, n: usize, threads: usize, out: &mut [f64]) {
+    assert_eq!(packed_b.blocks.len(), 1, "direct driver needs k ≤ KC");
+    let k = packed_b.blocks[0].1;
+    direct_driver(a, DirectB::Packed(packed_b), m, k, n, threads, out);
+}
+
+/// Where the direct tile reads B: the panels of a single-block [`PackedB`],
+/// or an [`Op::cols`] view in place, whose columns `j0..j0+8` at depth `kk`
+/// are contiguous at `data[kk·stride + j0..]`.
+#[derive(Clone, Copy)]
+enum DirectB<'a> {
+    Packed(&'a PackedB),
+    InPlace(Op<'a>),
+}
+
+impl DirectB<'_> {
+    /// Panics unless this source holds B's `k × n` values the way
+    /// [`DirectB::columns`] hands them to the tile.
+    fn assert_covers(&self, k: usize, n: usize) {
+        match self {
+            DirectB::Packed(p) => {
+                assert!(
+                    p.blocks.len() == 1 && p.blocks[0].1 == k && p.panels == n.div_ceil(NR),
+                    "packed B is not one {k}-deep block of {n} columns"
+                );
+            }
+            DirectB::InPlace(b) => {
+                assert!(b.transposed, "only a column view is read in place");
+                b.assert_covers(n, k);
+            }
+        }
+    }
+
+    /// B's values from column `jp·NR` on, and the distance in them from
+    /// depth `kk` to `kk + 1`: `NR` in a packed panel, the view's stride in
+    /// place.
+    #[inline]
+    fn columns(&self, jp: usize) -> (&[f64], usize) {
+        match self {
+            DirectB::Packed(p) => (p.panel(0, jp), NR),
+            DirectB::InPlace(b) => (&b.data[jp * NR..], b.stride),
+        }
+    }
+}
+
+/// The direct driver: `out = a · B` for a single-block product, with the
+/// AVX-512F tile reading B from `b`.
+///
+/// # Panics
+///
+/// Panics if the CPU lacks AVX-512F, `a` does not cover its `m × k` view,
+/// `b` does not cover its `k × n` values or `out` does not hold `m × n`
+/// values.
+fn direct_driver(
+    a: &Op,
+    b: DirectB,
+    m: usize,
+    k: usize,
+    n: usize,
+    threads: usize,
+    out: &mut [f64],
+) {
     assert!(
         crate::dispatch::avx512_supported(),
         "direct driver needs AVX-512F"
     );
-    assert_eq!(packed_b.blocks.len(), 1, "direct driver needs k ≤ KC");
     assert_eq!(out.len(), m * n, "direct driver output is not {m}×{n}");
-    let k = packed_b.blocks[0].1;
     a.assert_covers(m, k);
+    b.assert_covers(k, n);
     let (rs, ks) = a.steps();
     for_each_row_band(out, m, n, threads, |first_row, band| {
         let rows = band.len() / n;
@@ -301,28 +371,34 @@ fn gemm_direct(a: &Op, packed_b: &PackedB, m: usize, n: usize, threads: usize, o
             let mr = DR.min(rows - i0);
             // Offset of element (first_row + i0, 0) in `a.data`.
             let a_off = (first_row + i0) * rs;
-            for jp in 0..packed_b.panels {
+            for jp in 0..n.div_ceil(NR) {
                 let j0 = jp * NR;
                 let width = NR.min(n - j0);
                 let dst = &mut band[i0 * n + j0..];
-                let bp = packed_b.panel(0, jp);
+                let (bp, bs) = b.columns(jp);
                 // SAFETY: the CPU has AVX-512F (asserted on entry).  A is in
                 // bounds: `a` covers `m × k` (asserted on entry), and rows
                 // `first_row + i0 .. first_row + i0 + mr` are below `m` by
-                // the band assert above.  `bp` holds `k × NR` values (one
-                // panel of the single block).  `dst` starts at `(i0, j0)` of
-                // a band of `rows × n` values with `i0 + mr ≤ rows` and
+                // the band assert above.  B is in bounds on every live lane:
+                // `b` was asserted on entry to cover `k × n`, so a packed
+                // `bp` is one panel of `k × NR` values read with step
+                // `bs = NR`, and an in-place `bp` starts at column `j0` of a
+                // view whose element `(j0 + width − 1, k − 1)`, at
+                // `(k − 1)·bs + width − 1` in `bp`, lies inside it because
+                // `j0 + width ≤ n`.  Either way `bp` holds
+                // `(k − 1)·bs + width` values.  `dst` starts at `(i0, j0)`
+                // of a band of `rows × n` values with `i0 + mr ≤ rows` and
                 // `j0 + width ≤ n`, so it holds `(mr − 1)·n + width` values.
                 unsafe {
                     match mr {
-                        8 => direct_tile::<8>(a.data, a_off, rs, ks, bp, k, dst, n, width),
-                        7 => direct_tile::<7>(a.data, a_off, rs, ks, bp, k, dst, n, width),
-                        6 => direct_tile::<6>(a.data, a_off, rs, ks, bp, k, dst, n, width),
-                        5 => direct_tile::<5>(a.data, a_off, rs, ks, bp, k, dst, n, width),
-                        4 => direct_tile::<4>(a.data, a_off, rs, ks, bp, k, dst, n, width),
-                        3 => direct_tile::<3>(a.data, a_off, rs, ks, bp, k, dst, n, width),
-                        2 => direct_tile::<2>(a.data, a_off, rs, ks, bp, k, dst, n, width),
-                        _ => direct_tile::<1>(a.data, a_off, rs, ks, bp, k, dst, n, width),
+                        8 => direct_tile::<8>(a.data, a_off, rs, ks, bp, bs, k, dst, n, width),
+                        7 => direct_tile::<7>(a.data, a_off, rs, ks, bp, bs, k, dst, n, width),
+                        6 => direct_tile::<6>(a.data, a_off, rs, ks, bp, bs, k, dst, n, width),
+                        5 => direct_tile::<5>(a.data, a_off, rs, ks, bp, bs, k, dst, n, width),
+                        4 => direct_tile::<4>(a.data, a_off, rs, ks, bp, bs, k, dst, n, width),
+                        3 => direct_tile::<3>(a.data, a_off, rs, ks, bp, bs, k, dst, n, width),
+                        2 => direct_tile::<2>(a.data, a_off, rs, ks, bp, bs, k, dst, n, width),
+                        _ => direct_tile::<1>(a.data, a_off, rs, ks, bp, bs, k, dst, n, width),
                     }
                 }
             }
@@ -332,16 +408,16 @@ fn gemm_direct(a: &Op, packed_b: &PackedB, m: usize, n: usize, threads: usize, o
 }
 
 /// The `R × 8` AVX-512F tile of the direct driver:
-/// `out[ii*n + jj] = (Σ_kk a[a_off + ii*rs + kk*ks] · bp[kk*NR + jj]) + 0.0`
+/// `out[ii*n + jj] = (Σ_kk a[a_off + ii*rs + kk*ks] · b[kk*bs + jj]) + 0.0`
 /// for `ii < R`, `jj < width`, the sum being one FMA chain over ascending
-/// `kk` from `+0.0`.  Columns at or past `width` are computed but not
-/// stored: the store is masked, so `out` past them is never touched.
+/// `kk` from `+0.0`.  Loads and stores are masked to the `width` live
+/// columns: B and `out` past them are never touched.
 ///
 /// # Safety
 ///
 /// The CPU must support AVX-512F.  `a[a_off + ii*rs + kk*ks]` must be in
-/// bounds for every `ii < R`, `kk < k`; `bp` must hold at least `k × NR`
-/// values; `1 ≤ width ≤ NR`; and `out` must hold at least
+/// bounds for every `ii < R`, `kk < k`; `1 ≤ width ≤ NR`; `b` must hold at
+/// least `(k − 1)·bs + width` values; and `out` must hold at least
 /// `(R − 1)·n + width` values.
 #[cfg(target_arch = "x86_64")]
 #[target_feature(enable = "avx512f")]
@@ -351,7 +427,8 @@ unsafe fn direct_tile<const R: usize>(
     a_off: usize,
     rs: usize,
     ks: usize,
-    bp: &[f64],
+    b: &[f64],
+    bs: usize,
     k: usize,
     out: &mut [f64],
     n: usize,
@@ -359,20 +436,20 @@ unsafe fn direct_tile<const R: usize>(
 ) {
     use core::arch::x86_64::*;
     debug_assert!(k > 0 && a_off + (R - 1) * rs + (k - 1) * ks < a.len());
-    debug_assert!(bp.len() >= k * NR);
     debug_assert!((1..=NR).contains(&width) && (R - 1) * n + width <= out.len());
+    debug_assert!((k - 1) * bs + width <= b.len());
+    let mask = lane_mask(width);
     let mut acc = [_mm512_setzero_pd(); R];
     let a_ptr = a.as_ptr().add(a_off);
-    let b_ptr = bp.as_ptr();
+    let b_ptr = b.as_ptr();
     for kk in 0..k {
-        let bv = _mm512_loadu_pd(b_ptr.add(kk * NR));
+        let bv = _mm512_maskz_loadu_pd(mask, b_ptr.add(kk * bs));
         let a_k = a_ptr.add(kk * ks);
         for (ii, row_acc) in acc.iter_mut().enumerate() {
             *row_acc = _mm512_fmadd_pd(_mm512_set1_pd(*a_k.add(ii * rs)), bv, *row_acc);
         }
     }
     let zero = _mm512_setzero_pd();
-    let mask: __mmask8 = u8::MAX >> (NR - width);
     for (ii, row_acc) in acc.iter().enumerate() {
         _mm512_mask_storeu_pd(
             out.as_mut_ptr().add(ii * n),
@@ -389,7 +466,8 @@ unsafe fn direct_tile<const R: usize>(
     a_off: usize,
     rs: usize,
     ks: usize,
-    bp: &[f64],
+    b: &[f64],
+    bs: usize,
     k: usize,
     out: &mut [f64],
     n: usize,
@@ -402,7 +480,7 @@ unsafe fn direct_tile<const R: usize>(
         for jj in 0..width {
             let mut acc = 0.0_f64;
             for kk in 0..k {
-                acc = a[a_off + ii * rs + kk * ks].mul_add(bp[kk * NR + jj], acc);
+                acc = a[a_off + ii * rs + kk * ks].mul_add(b[kk * bs + jj], acc);
             }
             out[ii * n + jj] = acc + 0.0;
         }
@@ -1862,6 +1940,86 @@ mod tests {
         let mut direct = [f64::NAN];
         gemm_direct(&Op::rows(&a, 1), &packed_b, 1, 1, 1, &mut direct);
         assert_eq!(packed[0].to_bits(), 0.0_f64.to_bits());
+        assert_eq!(direct[0].to_bits(), 0.0_f64.to_bits());
+    }
+
+    #[test]
+    #[cfg(target_arch = "x86_64")]
+    fn in_place_b_matches_packed_driver_bit_for_bit() {
+        if !has_avx512f() {
+            return;
+        }
+        let dims: Vec<usize> = (1..=17).chain([32, 50, 65, 100]).collect();
+        for &k in &[1, 7, 10, 50, 65, 255, 256] {
+            for &m in &dims {
+                for &n in &dims {
+                    let a = with_specials(m * k, m + k);
+                    let b = with_specials(n * k, n + 3 * k);
+                    let bv = Op::cols(&b, n);
+                    let packed_b = PackedB::new(&bv, n, k);
+                    for (av, what) in [(Op::rows(&a, k), "A·B"), (Op::cols(&a, m), "Aᵀ·B")] {
+                        let mut packed = vec![0.0; m * n];
+                        gemm_packed(&av, &packed_b, n, 1, &mut packed);
+                        // NaN-filled output: every element must be written.
+                        let mut in_place = vec![f64::NAN; m * n];
+                        direct_driver(&av, DirectB::InPlace(bv), m, k, n, 3, &mut in_place);
+                        assert_same_bits(&in_place, &packed, &format!("{what} {m}×{k}×{n}"));
+                    }
+                }
+            }
+        }
+    }
+
+    #[test]
+    #[cfg(target_arch = "x86_64")]
+    fn in_place_b_reads_only_the_live_columns_of_its_view() {
+        if !has_avx512f() {
+            return;
+        }
+        // B is the first `n` columns of a `k × stride` buffer whose other
+        // columns hold NaN, and the buffer ends at B's last element, so a
+        // load past a ragged edge reads a neighbour or leaves the allocation
+        // (which AddressSanitizer reports).
+        for &(m, k, n, stride) in &[
+            (1, 1, 1, 1),
+            (3, 7, 1, 9),
+            (9, 13, 5, 11),
+            (8, 10, 13, 13),
+            (17, 65, 50, 53),
+            (5, 256, 13, 16),
+            (65, 50, 32, 40),
+        ] {
+            let compact = with_specials(n * k, n + k);
+            let view: Box<[f64]> = (0..(k - 1) * stride + n)
+                .map(|i| match (i / stride, i % stride) {
+                    (kk, j) if j < n => compact[kk * n + j],
+                    _ => f64::NAN,
+                })
+                .collect();
+            let a = with_specials(m * k, m);
+            for (av, what) in [(Op::rows(&a, k), "A·B"), (Op::cols(&a, m), "Aᵀ·B")] {
+                let mut packed = vec![0.0; m * n];
+                let packed_b = PackedB::new(&Op::cols(&compact, n), n, k);
+                gemm_packed(&av, &packed_b, n, 1, &mut packed);
+                let mut in_place = vec![f64::NAN; m * n];
+                let bv = Op::cols(&view, stride);
+                direct_driver(&av, DirectB::InPlace(bv), m, k, n, 1, &mut in_place);
+                let case = format!("{what} {m}×{k}×{n}, stride {stride}");
+                assert_same_bits(&in_place, &packed, &case);
+            }
+        }
+    }
+
+    #[test]
+    #[cfg(target_arch = "x86_64")]
+    fn in_place_b_turns_a_negative_zero_chain_into_positive_zero() {
+        if !has_avx512f() {
+            return;
+        }
+        let (a, b) = ([-1e-200], [1e-200]);
+        let (av, bv) = (Op::rows(&a, 1), Op::cols(&b, 1));
+        let mut direct = [f64::NAN];
+        direct_driver(&av, DirectB::InPlace(bv), 1, 1, 1, 1, &mut direct);
         assert_eq!(direct[0].to_bits(), 0.0_f64.to_bits());
     }
 

@@ -148,9 +148,9 @@ impl BatchCore {
 enum Work {
     /// A detached job.
     Job(Job),
-    /// A handle to a scoped batch; the claiming worker takes tasks from it
-    /// and re-injects the handle while tasks remain, so several workers
-    /// converge on one batch.
+    /// A handle to a scoped batch; the claiming worker runs one task and
+    /// then re-injects the handle if tasks remain, so further workers join
+    /// one at a time, each after the previous joiner's first task ends.
     Batch(Arc<BatchCore>),
 }
 
@@ -629,12 +629,14 @@ fn worker_loop(inner: &Arc<PoolInner>) -> WorkerExit {
             }
             Work::Batch(batch) => {
                 if batch.run_one() {
-                    // More tasks may remain: re-inject the handle so other
-                    // idle workers converge on this batch too, then keep
-                    // draining it ourselves (cheaper than one injector trip
-                    // per task).  An exhausted handle is dropped on pop —
-                    // run_one returns false and nothing is re-injected — so
-                    // dead handles cannot circulate.
+                    // The handle left the injector when this worker took
+                    // it, so no other idle worker could join the batch while
+                    // that first task ran.  If tasks remain, re-inject the
+                    // handle now so one more worker can join, then keep
+                    // draining the batch here (cheaper than one injector
+                    // trip per task).  An exhausted handle is dropped on
+                    // pop — run_one returns false and nothing is
+                    // re-injected — so dead handles cannot circulate.
                     if !recover_lock(&batch.tasks, &batch.poisonings).is_empty() {
                         let mut injector =
                             recover_lock(&inner.injector, &inner.counters.lock_poisonings);
