@@ -14,7 +14,7 @@
 //! reproduce [--quick] serve            # multi-session serving layer: throughput, recovery, shedding → BENCH_serve.json
 //! reproduce [--quick] ablation-ensemble      # ensemble-size ablation (E4)
 //! reproduce [--quick] ablation-acquisition   # acquisition-function ablation (E5)
-//! reproduce [--quick] all              # everything above
+//! reproduce [--quick] all              # every experiment above, in this order; stops at the first failure
 //! ```
 //!
 //! `--quick` shrinks every experiment to a smoke-test scale so CI can execute
@@ -33,6 +33,25 @@ use nnbo_bench::{
     Protocol, SubspaceProtocol,
 };
 
+/// Signature of one experiment: `--quick` in, a written document or an
+/// error out.
+type Experiment = fn(bool) -> Result<(), BenchError>;
+
+/// Every experiment, by subcommand name, in the order `all` runs them.
+const EXPERIMENTS: &[(&str, Experiment)] = &[
+    ("table1", table1),
+    ("table2", table2),
+    ("scaling", scaling),
+    ("linalg", linalg),
+    ("fit", fit),
+    ("predict", predict),
+    ("pvt", pvt),
+    ("robustness", robustness),
+    ("serve", serve),
+    ("ablation-ensemble", ablation_ensemble),
+    ("ablation-acquisition", ablation_acquisition),
+];
+
 fn main() {
     let mut args: Vec<String> = std::env::args().skip(1).collect();
     let quick = if let Some(pos) = args.iter().position(|a| a == "--quick") {
@@ -42,40 +61,21 @@ fn main() {
         false
     };
     let command = args.first().map(String::as_str).unwrap_or("all");
-    let outcome = match command {
-        "table1" => table1(quick),
-        "table2" => table2(quick),
-        "scaling" => scaling(quick),
-        "linalg" => linalg(quick),
-        "fit" => fit(quick),
-        "predict" => predict(quick),
-        "pvt" => pvt(quick),
-        "robustness" => robustness(quick),
-        "serve" => serve(quick),
-        "ablation-ensemble" => ablation_ensemble(quick),
-        "ablation-acquisition" => ablation_acquisition(quick),
-        "all" => table1(quick)
-            .and_then(|()| table2(quick))
-            .and_then(|()| scaling(quick))
-            .and_then(|()| linalg(quick))
-            .and_then(|()| fit(quick))
-            .and_then(|()| predict(quick))
-            .and_then(|()| pvt(quick))
-            .and_then(|()| robustness(quick))
-            .and_then(|()| serve(quick))
-            .and_then(|()| ablation_ensemble(quick))
-            .and_then(|()| ablation_acquisition(quick)),
-        other => {
-            eprintln!("unknown command `{other}`");
-            eprintln!(
-                "expected one of: table1 | table2 | scaling | linalg | fit | predict | pvt | robustness | serve | ablation-ensemble | ablation-acquisition | all"
-            );
-            std::process::exit(2);
+    let selected: Vec<&(&str, Experiment)> = EXPERIMENTS
+        .iter()
+        .filter(|(name, _)| command == "all" || *name == command)
+        .collect();
+    if selected.is_empty() {
+        let names: Vec<&str> = EXPERIMENTS.iter().map(|(name, _)| *name).collect();
+        eprintln!("unknown command `{command}`");
+        eprintln!("expected one of: {} | all", names.join(" | "));
+        std::process::exit(2);
+    }
+    for (name, experiment) in selected {
+        if let Err(e) = experiment(quick) {
+            eprintln!("reproduce {name} failed: {e}");
+            std::process::exit(1);
         }
-    };
-    if let Err(e) = outcome {
-        eprintln!("reproduce {command} failed: {e}");
-        std::process::exit(1);
     }
 }
 
@@ -108,67 +108,16 @@ fn table2_protocol(quick: bool) -> Protocol {
     }
 }
 
-/// Writes a benchmark/result JSON document into the working directory; an IO
-/// failure propagates so the run exits non-zero.
-///
-/// JSON has no representation for non-finite floats, so a bare `NaN` / `inf`
-/// / `Infinity` value token means an emitter leaked an unguarded float (the
-/// emitters encode those as `null`).  Such a document would silently break
-/// every downstream consumer; refuse to write it and fail the run instead so
-/// CI catches the regression.
+/// Writes a `BENCH_*.json` document into the working directory.  A document
+/// the vendored `serde::json` parser rejects is refused before anything is
+/// written, so every committed document is one a reader can parse; that
+/// refusal and an IO failure both propagate, and the run exits non-zero.
 fn write_json(path: &str, json: &str) -> Result<(), BenchError> {
-    for token in ["NaN", "inf", "Infinity"] {
-        if contains_bare_token(json, token) {
-            return Err(format!(
-                "refusing to write {path}: document contains non-finite token `{token}`"
-            )
-            .into());
-        }
-    }
+    serde::json::from_str(json)
+        .map_err(|e| format!("refusing to write {path}: the document does not parse: {e}"))?;
     std::fs::write(path, json).map_err(|e| format!("could not write {path}: {e}"))?;
     println!("wrote {path}");
     Ok(())
-}
-
-/// `true` when `token` occurs in `text` as a bare value token.  Everything
-/// inside double-quoted JSON strings is skipped (a workload named
-/// `"ngp_inference"` or a note mentioning `NaN` is fine), and outside strings
-/// the match must be word-bounded — so `: inf,` or `[-inf]` is flagged while
-/// valid documents never are.
-fn contains_bare_token(text: &str, token: &str) -> bool {
-    let bytes = text.as_bytes();
-    let is_word = |b: u8| b.is_ascii_alphanumeric() || b == b'_';
-    let mut in_string = false;
-    let mut i = 0;
-    while i < bytes.len() {
-        let b = bytes[i];
-        if in_string {
-            if b == b'\\' {
-                i += 2;
-                continue;
-            }
-            if b == b'"' {
-                in_string = false;
-            }
-            i += 1;
-            continue;
-        }
-        if b == b'"' {
-            in_string = true;
-            i += 1;
-            continue;
-        }
-        if text[i..].starts_with(token) {
-            let end = i + token.len();
-            let open = i == 0 || !is_word(bytes[i - 1]);
-            let close = end == bytes.len() || !is_word(bytes[end]);
-            if open && close {
-                return true;
-            }
-        }
-        i += 1;
-    }
-    false
 }
 
 fn table1(quick: bool) -> Result<(), BenchError> {
@@ -392,34 +341,19 @@ fn print_ablation(rows: &[nnbo_bench::AblationRow], note: &str) {
 
 #[cfg(test)]
 mod tests {
-    use super::contains_bare_token;
+    use super::write_json;
 
     #[test]
-    fn bare_tokens_are_flagged_only_outside_identifiers_and_strings() {
-        for bad in [
-            "{\"a\": inf}",
-            "{\"a\": -inf}",
-            "[1.0, NaN]",
-            "{\"b\": Infinity,",
-        ] {
-            let token = ["NaN", "inf", "Infinity"]
-                .iter()
-                .find(|t| contains_bare_token(bad, t));
-            assert!(token.is_some(), "missed non-finite value in {bad}");
-        }
-        for good in [
-            "{\"name\": \"ngp_inference_warm\"}",
-            "{\"info\": 1}",
-            "{\"name\": \"inf\"}",
-            "{\"note\": \"non-finite (NaN / Infinity) values are encoded as null\"}",
-            "{\"a\": null}",
-        ] {
-            for t in ["NaN", "inf", "Infinity"] {
-                assert!(
-                    !contains_bare_token(good, t),
-                    "false positive `{t}` in {good}"
-                );
-            }
-        }
+    fn a_document_that_does_not_parse_is_refused_and_not_written() {
+        let path =
+            std::env::temp_dir().join(format!("reproduce-refused-{}.json", std::process::id()));
+        let path = path.to_str().expect("the temp path is UTF-8");
+        let _ = std::fs::remove_file(path);
+        let err = write_json(path, "{\"a\": NaN}\n").expect_err("a bare NaN does not parse");
+        assert!(err.to_string().contains("does not parse"), "{err}");
+        assert!(
+            !std::path::Path::new(path).exists(),
+            "a refused document was written"
+        );
     }
 }

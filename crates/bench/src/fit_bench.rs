@@ -37,8 +37,9 @@ use nnbo_core::{EnsembleConfig, NeuralGp, NeuralGpConfig, NeuralGpEnsemble, Refi
 use nnbo_gp::{GpConfig, GpHyperParams, GpModel};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
+use serde::Serialize;
 
-use crate::BenchError;
+use crate::{json, BenchError};
 
 /// One measured comparison of the fit path, with the NLL both strategies
 /// reached (summed over outputs for the multi-output workloads).
@@ -245,7 +246,10 @@ pub fn run_fit_bench(quick: bool) -> Result<Vec<FitBenchEntry>, BenchError> {
     } else {
         NeuralGpConfig::default()
     };
-    let ngp_n = if quick { 32 } else { n };
+    // The refit trains on `ngp_n + 1` = 100 points, the largest N the
+    // neural-GP BO runs reach (Table I's 100-simulation budget), which keeps
+    // every product of the epoch inside the direct GEMM's 256-deep k-block.
+    let ngp_n = if quick { 32 } else { 99 };
     let (nxs, ntargets) = fit_dataset(ngp_n + 1, dim, 91);
     let nys = &ntargets[0];
     let nxs_base: Vec<Vec<f64>> = nxs[..ngp_n].to_vec();
@@ -446,34 +450,31 @@ pub fn run_refit_lifecycle(
     })
 }
 
-/// Serialises the entries as the `BENCH_fit.json` document (JSON written by
-/// hand with pretty-printed rows; the vendored `serde::json` writer only
-/// emits compact text).
+/// Serialises the entries as the `BENCH_fit.json` document; a lifecycle
+/// entry adds its two full-refit counts as the last columns.
 pub fn format_fit_json(entries: &[FitBenchEntry], quick: bool) -> String {
-    let rows: Vec<String> = entries
+    let rows = entries
         .iter()
         .map(|e| {
-            let refit_fields = match e.refits {
-                Some((baseline, optimized)) => format!(
-                    ", \"baseline_full_refits\": {baseline}, \"optimized_full_refits\": {optimized}"
-                ),
-                None => String::new(),
-            };
-            format!(
-                "{{\"name\": \"{}\", \"n\": {}, \"outputs\": {}, \"baseline_ns\": {:.0}, \"optimized_ns\": {:.0}, \"speedup\": {:.2}, \"baseline_nll\": {}, \"optimized_nll\": {}{}}}",
-                e.name,
-                e.n,
-                e.outputs,
-                e.baseline_ns,
-                e.optimized_ns,
-                e.speedup(),
-                crate::json::number(e.baseline_nll),
-                crate::json::number(e.optimized_nll),
-                refit_fields,
-            )
+            let speedup = e.speedup();
+            let mut columns: Vec<(&str, &dyn Serialize)> = vec![
+                ("name", &e.name),
+                ("n", &e.n),
+                ("outputs", &e.outputs),
+                ("baseline_ns", &e.baseline_ns),
+                ("optimized_ns", &e.optimized_ns),
+                ("speedup", &speedup),
+                ("baseline_nll", &e.baseline_nll),
+                ("optimized_nll", &e.optimized_nll),
+            ];
+            if let Some((baseline, optimized)) = &e.refits {
+                columns.push(("baseline_full_refits", baseline));
+                columns.push(("optimized_full_refits", optimized));
+            }
+            json::row(&columns)
         })
         .collect();
-    crate::json::document("nnbo-bench-fit-v1", "fit", quick, "entries", &rows)
+    json::document("nnbo-bench-fit-v1", "fit", quick, &[("entries", rows)])
 }
 
 /// Renders a human-readable table of the same entries for stdout.

@@ -1,12 +1,21 @@
-//! Shared framing for the hand-written `BENCH_*.json` documents.  The
-//! emitters build the JSON text themselves, with pretty-printed rows, rather
-//! than through the vendored `serde::json` writer, which only emits compact
-//! text; this module keeps the document skeleton in one place.
+//! The one writer of the `BENCH_*.json` documents `reproduce` emits.
+//!
+//! A document is a fixed header plus named sections, each an array of rows.
+//! A row is a [`Value`] map, usually a `Serialize` row type's own output or
+//! a [`row`] of `(column, value)` pairs, and is written on one line as
+//! `{"key": value, ...}` so the committed documents diff row by row.  Keys
+//! and values are printed by the vendored [`serde::json::to_string`]: a
+//! float prints as the shortest digits that read back to the same bits.  A
+//! non-finite float is written as `null`, at any depth: the tables use NaN
+//! for "no successful run", and the writer's own `"NaN"`/`"inf"` strings are
+//! a checkpoint convention a benchmark reader would take for text.
+
+use serde::json::to_string;
+use serde::{Serialize, Value};
 
 /// Builds a `BENCH_*.json` document: a `schema` / `generated_by` / `quick` /
-/// `isa` / `cores` header plus one array named `array_name` whose elements
-/// are the pre-rendered `rows` (each a complete JSON value, no trailing
-/// comma).
+/// `isa` / `cores` header plus one array per named section, one row per
+/// line.
 ///
 /// `isa` is the kernel path the runtime dispatch selected
 /// ([`nnbo_linalg::kernel_isa`]) and `cores` the hardware parallelism — the
@@ -17,54 +26,76 @@ pub(crate) fn document(
     schema: &str,
     subcommand: &str,
     quick: bool,
-    array_name: &str,
-    rows: &[String],
+    sections: &[(&str, Vec<Value>)],
 ) -> String {
-    document_sections(schema, subcommand, quick, &[(array_name, rows)])
-}
-
-/// Like [`document`], but with several named arrays in one document — the
-/// multi-experiment reports (`BENCH_table2.json`, `BENCH_scaling.json`) keep
-/// their main table and the high-dimensional companion study side by side.
-pub(crate) fn document_sections(
-    schema: &str,
-    subcommand: &str,
-    quick: bool,
-    sections: &[(&str, &[String])],
-) -> String {
+    let generated_by = format!("cargo run --release -p nnbo-bench --bin reproduce -- {subcommand}");
     let cores = std::thread::available_parallelism().map_or(1, |n| n.get());
-    let mut out = String::from("{\n");
-    out.push_str(&format!("  \"schema\": \"{schema}\",\n"));
-    out.push_str(&format!(
-        "  \"generated_by\": \"cargo run --release -p nnbo-bench --bin reproduce -- {subcommand}\",\n"
-    ));
-    out.push_str(&format!("  \"quick\": {quick},\n"));
-    out.push_str(&format!("  \"isa\": \"{}\",\n", nnbo_linalg::kernel_isa()));
-    out.push_str(&format!("  \"cores\": {cores},\n"));
-    for (si, (array_name, rows)) in sections.iter().enumerate() {
-        out.push_str(&format!("  \"{array_name}\": [\n"));
-        for (i, row) in rows.iter().enumerate() {
-            out.push_str("    ");
-            out.push_str(row);
-            out.push_str(if i + 1 == rows.len() { "\n" } else { ",\n" });
-        }
-        out.push_str(if si + 1 == sections.len() {
-            "  ]\n"
-        } else {
-            "  ],\n"
-        });
+    let isa = nnbo_linalg::kernel_isa();
+    let header: [(&str, &dyn Serialize); 5] = [
+        ("schema", &schema),
+        ("generated_by", &generated_by),
+        ("quick", &quick),
+        ("isa", &isa),
+        ("cores", &cores),
+    ];
+    let mut fields: Vec<String> = header
+        .iter()
+        .map(|(key, value)| field(key, &value.to_value()))
+        .collect();
+    for (name, rows) in sections {
+        let lines: Vec<String> = rows.iter().map(|r| format!("\n    {}", line(r))).collect();
+        fields.push(format!(
+            "{}: [{}\n  ]",
+            to_string(&name.to_value()),
+            lines.join(",")
+        ));
     }
-    out.push_str("}\n");
-    out
+    format!("{{\n  {}\n}}\n", fields.join(",\n  "))
 }
 
-/// Formats a float as a JSON value (`null` for NaN/∞, which JSON cannot
-/// represent — the tables use NaN for "no successful run").
-pub(crate) fn number(v: f64) -> String {
-    if v.is_finite() {
-        format!("{v:.4}")
-    } else {
-        "null".to_string()
+/// A row built from `(column, value)` pairs, in order — for rows that
+/// rename fields, add a computed column or carry a `section` tag.
+pub(crate) fn row(columns: &[(&str, &dyn Serialize)]) -> Value {
+    Value::Map(
+        columns
+            .iter()
+            .map(|(column, value)| (column.to_string(), value.to_value()))
+            .collect(),
+    )
+}
+
+/// One row on one line: `{"key": value, ...}` for a map, compact JSON for
+/// anything else.
+fn line(row: &Value) -> String {
+    match row {
+        Value::Map(entries) => {
+            let fields: Vec<String> = entries.iter().map(|(k, v)| field(k, v)).collect();
+            format!("{{{}}}", fields.join(", "))
+        }
+        other => to_string(&finite_or_null(other)),
+    }
+}
+
+fn field(key: &str, value: &Value) -> String {
+    format!(
+        "{}: {}",
+        to_string(&key.to_value()),
+        to_string(&finite_or_null(value))
+    )
+}
+
+/// `value` with every non-finite float replaced by [`Value::Null`].
+fn finite_or_null(value: &Value) -> Value {
+    match value {
+        Value::F64(v) if !v.is_finite() => Value::Null,
+        Value::Seq(items) => Value::Seq(items.iter().map(finite_or_null).collect()),
+        Value::Map(entries) => Value::Map(
+            entries
+                .iter()
+                .map(|(k, v)| (k.clone(), finite_or_null(v)))
+                .collect(),
+        ),
+        other => other.clone(),
     }
 }
 
@@ -78,8 +109,7 @@ mod tests {
             "s-v1",
             "fit",
             true,
-            "entries",
-            &["{\"a\": 1}".to_string(), "{\"a\": 2}".to_string()],
+            &[("entries", vec![row(&[("a", &1)]), row(&[("a", &2)])])],
         );
         assert!(doc.contains("\"schema\": \"s-v1\""));
         assert!(doc.contains("reproduce -- fit"));
@@ -93,14 +123,9 @@ mod tests {
 
     #[test]
     fn multi_section_documents_emit_every_named_array() {
-        let a = ["{\"x\": 1}".to_string()];
-        let b = ["{\"y\": 2}".to_string(), "{\"y\": 3}".to_string()];
-        let doc = document_sections(
-            "s-v2",
-            "table2",
-            false,
-            &[("rows", &a[..]), ("highdim", &b[..])],
-        );
+        let a = vec![row(&[("x", &1)])];
+        let b = vec![row(&[("y", &2)]), row(&[("y", &3)])];
+        let doc = document("s-v2", "table2", false, &[("rows", a), ("highdim", b)]);
         assert!(doc.contains("\"rows\": [\n"));
         assert!(doc.contains("\"highdim\": [\n"));
         assert!(doc.contains("  ],\n"), "sections are comma-separated");
@@ -109,9 +134,34 @@ mod tests {
     }
 
     #[test]
-    fn number_encodes_non_finite_as_null() {
-        assert_eq!(number(1.25), "1.2500");
-        assert_eq!(number(f64::NAN), "null");
-        assert_eq!(number(f64::INFINITY), "null");
+    fn non_finite_floats_parse_back_as_null_and_nothing_else_does() {
+        let rows = vec![
+            row(&[
+                ("nan", &f64::NAN),
+                ("inf", &f64::INFINITY),
+                ("neg_inf", &f64::NEG_INFINITY),
+                ("text", &"NaN"),
+                ("nested", &vec![1.5, f64::NAN]),
+            ]),
+            row(&[("x", &0.1), ("n", &7)]),
+        ];
+        let doc = document("s-v3", "scaling", false, &[("rows", rows)]);
+        let parsed = serde::json::from_str(&doc).expect("the document parses");
+        assert_eq!(parsed.get("schema"), Some(&Value::Str("s-v3".into())));
+        assert_eq!(parsed.get("quick"), Some(&Value::Bool(false)));
+        let entry = |key: &str, value: Value| (key.to_string(), value);
+        assert_eq!(
+            parsed.get("rows"),
+            Some(&Value::Seq(vec![
+                Value::Map(vec![
+                    entry("nan", Value::Null),
+                    entry("inf", Value::Null),
+                    entry("neg_inf", Value::Null),
+                    entry("text", Value::Str("NaN".into())),
+                    entry("nested", Value::Seq(vec![Value::F64(1.5), Value::Null])),
+                ]),
+                Value::Map(vec![entry("x", Value::F64(0.1)), entry("n", Value::U64(7))]),
+            ]))
+        );
     }
 }

@@ -25,8 +25,9 @@ use nnbo_gp::{GpConfig, GpModel};
 use nnbo_linalg::{Cholesky, Matrix};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
+use serde::{Serialize, Value};
 
-use crate::BenchError;
+use crate::{json, BenchError};
 
 /// One measured comparison: the reference path vs the optimized path on the
 /// same workload.
@@ -46,6 +47,20 @@ impl LinalgBenchEntry {
     /// Speed-up factor of the optimized path.
     pub fn speedup(&self) -> f64 {
         self.baseline_ns / self.optimized_ns.max(1.0)
+    }
+}
+
+/// The row of `BENCH_linalg.json` and `BENCH_predict.json`: the fields plus
+/// the derived `speedup`.
+impl Serialize for LinalgBenchEntry {
+    fn to_value(&self) -> Value {
+        json::row(&[
+            ("name", &self.name),
+            ("n", &self.n),
+            ("baseline_ns", &self.baseline_ns),
+            ("optimized_ns", &self.optimized_ns),
+            ("speedup", &self.speedup()),
+        ])
     }
 }
 
@@ -301,24 +316,15 @@ pub fn run_linalg_bench(quick: bool) -> Result<Vec<LinalgBenchEntry>, BenchError
     Ok(entries)
 }
 
-/// Serialises the entries as the `BENCH_linalg.json` document (JSON written by
-/// hand with pretty-printed rows; the vendored `serde::json` writer only
-/// emits compact text).
+/// Serialises the entries as the `BENCH_linalg.json` document.
 pub fn format_linalg_json(entries: &[LinalgBenchEntry], quick: bool) -> String {
-    let rows: Vec<String> = entries
-        .iter()
-        .map(|e| {
-            format!(
-                "{{\"name\": \"{}\", \"n\": {}, \"baseline_ns\": {:.0}, \"optimized_ns\": {:.0}, \"speedup\": {:.2}}}",
-                e.name,
-                e.n,
-                e.baseline_ns,
-                e.optimized_ns,
-                e.speedup(),
-            )
-        })
-        .collect();
-    crate::json::document("nnbo-bench-linalg-v1", "linalg", quick, "entries", &rows)
+    let rows = entries.iter().map(Serialize::to_value).collect();
+    json::document(
+        "nnbo-bench-linalg-v1",
+        "linalg",
+        quick,
+        &[("entries", rows)],
+    )
 }
 
 /// Renders a human-readable table of the same entries for stdout.

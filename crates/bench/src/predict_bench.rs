@@ -25,9 +25,10 @@ use nnbo_gp::{ArdSquaredExponential, CrossScratch, GpConfig, GpModel, GpPredictS
 use nnbo_linalg::Matrix;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
+use serde::Serialize;
 
 use crate::linalg_bench::{time_best, LinalgBenchEntry};
-use crate::BenchError;
+use crate::{json, BenchError};
 
 fn dataset(n: usize, dim: usize, rng: &mut StdRng) -> (Vec<Vec<f64>>, Vec<f64>) {
     let xs: Vec<Vec<f64>> = (0..n)
@@ -149,20 +150,13 @@ pub fn run_predict_bench(quick: bool) -> Result<Vec<LinalgBenchEntry>, BenchErro
 
 /// Serialises the entries as the `BENCH_predict.json` document.
 pub fn format_predict_json(entries: &[LinalgBenchEntry], quick: bool) -> String {
-    let rows: Vec<String> = entries
-        .iter()
-        .map(|e| {
-            format!(
-                "{{\"name\": \"{}\", \"n\": {}, \"baseline_ns\": {:.0}, \"optimized_ns\": {:.0}, \"speedup\": {:.2}}}",
-                e.name,
-                e.n,
-                e.baseline_ns,
-                e.optimized_ns,
-                e.speedup(),
-            )
-        })
-        .collect();
-    crate::json::document("nnbo-bench-predict-v1", "predict", quick, "entries", &rows)
+    let rows = entries.iter().map(Serialize::to_value).collect();
+    json::document(
+        "nnbo-bench-predict-v1",
+        "predict",
+        quick,
+        &[("entries", rows)],
+    )
 }
 
 /// Renders a human-readable table of the same entries for stdout.

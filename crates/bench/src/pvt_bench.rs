@@ -30,7 +30,7 @@ use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
 use crate::linalg_bench::time_best;
-use crate::BenchError;
+use crate::{json, BenchError};
 
 /// One parallel-vs-sequential sweep comparison.
 pub struct PvtBenchEntry {
@@ -156,23 +156,22 @@ pub fn run_pvt_bench(quick: bool) -> Result<Vec<PvtBenchEntry>, BenchError> {
 
 /// Serialises the entries as the `BENCH_pvt.json` document.
 pub fn format_pvt_json(entries: &[PvtBenchEntry], quick: bool) -> String {
-    let rows: Vec<String> = entries
+    let rows = entries
         .iter()
         .map(|e| {
-            format!(
-                "{{\"name\": \"{}\", \"corners\": {}, \"points\": {}, \"sequential_ms\": {}, \"parallel_ms\": {}, \"speedup\": {}, \"sweeps_per_sec\": {}, \"bit_identical\": {}}}",
-                e.name,
-                e.corners,
-                e.points,
-                crate::json::number(e.sequential_ns / 1e6),
-                crate::json::number(e.parallel_ns / 1e6),
-                crate::json::number(e.speedup()),
-                crate::json::number(e.sweeps_per_sec()),
-                e.bit_identical,
-            )
+            json::row(&[
+                ("name", &e.name),
+                ("corners", &e.corners),
+                ("points", &e.points),
+                ("sequential_ms", &(e.sequential_ns / 1e6)),
+                ("parallel_ms", &(e.parallel_ns / 1e6)),
+                ("speedup", &e.speedup()),
+                ("sweeps_per_sec", &e.sweeps_per_sec()),
+                ("bit_identical", &e.bit_identical),
+            ])
         })
         .collect();
-    crate::json::document("nnbo-bench-pvt-v1", "pvt", quick, "entries", &rows)
+    json::document("nnbo-bench-pvt-v1", "pvt", quick, &[("entries", rows)])
 }
 
 /// Renders a human-readable table of the same entries for stdout.

@@ -208,12 +208,12 @@ fn store_faults_section(quick: bool) -> Result<StoreSection, BenchError> {
     let scratch =
         std::env::temp_dir().join(format!("nnbo-bench-store-faults-{}", std::process::id()));
     let _ = std::fs::remove_dir_all(&scratch);
-    let payload = format!("{{\"iter\": 12, \"best\": 0.3978, \"history\": [{}]}}", {
-        let vals: Vec<String> = (0..48)
-            .map(|i| format!("{:.6}", i as f64 * 0.137))
-            .collect();
-        vals.join(", ")
-    });
+    let history: Vec<f64> = (0..48).map(|i| i as f64 * 0.137).collect();
+    let payload = serde::to_json_string(&json::row(&[
+        ("iter", &12),
+        ("best", &0.3978),
+        ("history", &history),
+    ]));
     let pairs = if quick { 192 } else { 768 };
     let ids = ["s0", "s1", "s2", "s3"];
 
@@ -284,7 +284,7 @@ fn store_faults_section(quick: bool) -> Result<StoreSection, BenchError> {
     )?;
     let mut acked = None;
     for i in 0..4 {
-        let p = format!("{{\"iter\": {i}}}");
+        let p = serde::to_json_string(&json::row(&[("iter", &i)]));
         if faulted.persist("s", &p).is_ok() {
             acked = Some(p);
         }
@@ -449,48 +449,48 @@ pub fn format_robustness_table(r: &RobustnessReport) -> String {
 pub fn format_robustness_json(r: &RobustnessReport, quick: bool) -> String {
     let rec = &r.faulted_recovery;
     let rows = vec![
-        format!(
-            "{{\"section\": \"clean\", \"run_ms\": {}, \"recovery_events\": {}, \"overhead_pct\": {}}}",
-            json::number(r.clean_run_ms),
-            r.clean_total_events,
-            json::number(r.clean_path_overhead_pct)
-        ),
-        format!(
-            "{{\"section\": \"faulted\", \"run_ms\": {}, \"eval_failures\": {}, \"eval_timeouts\": {}, \
-             \"eval_retries\": {}, \"imputed\": {}, \"degraded_refits\": {}, \"fallback_suggests\": {}, \
-             \"failure_refits_suppressed\": {}, \"jitter_promotions\": {}, \"member_drops\": {}, \
-             \"best_is_real\": {}}}",
-            json::number(r.faulted_run_ms),
-            rec.eval_failures,
-            rec.eval_timeouts,
-            rec.eval_retries,
-            rec.imputed.len(),
-            rec.degraded_refits,
-            rec.fallback_suggests,
-            rec.failure_refits_suppressed,
-            rec.jitter_promotions,
-            rec.member_drops,
-            r.faulted_best_is_real
-        ),
-        format!(
-            "{{\"section\": \"snapshot\", \"roundtrip_ms\": {}, \"bit_identical\": {}}}",
-            json::number(r.snapshot_roundtrip_ms),
-            r.snapshot_bit_identical
-        ),
-        format!(
-            "{{\"section\": \"store_faults\", \"persist_us\": {}, \"raw_persist_us\": {}, \
-             \"dispatch_overhead_pct\": {}, \"sharded_persist_us\": {}, \"tmp_removed\": {}, \
-             \"backups_promoted\": {}, \"fault_recovered\": {}}}",
-            json::number(r.store_persist_us),
-            json::number(r.store_raw_persist_us),
-            json::number(r.store_dispatch_overhead_pct),
-            json::number(r.store_sharded_persist_us),
-            r.store_tmp_removed,
-            r.store_backups_promoted,
-            r.store_fault_recovered
-        ),
+        json::row(&[
+            ("section", &"clean"),
+            ("run_ms", &r.clean_run_ms),
+            ("recovery_events", &r.clean_total_events),
+            ("overhead_pct", &r.clean_path_overhead_pct),
+        ]),
+        json::row(&[
+            ("section", &"faulted"),
+            ("run_ms", &r.faulted_run_ms),
+            ("eval_failures", &rec.eval_failures),
+            ("eval_timeouts", &rec.eval_timeouts),
+            ("eval_retries", &rec.eval_retries),
+            ("imputed", &rec.imputed.len()),
+            ("degraded_refits", &rec.degraded_refits),
+            ("fallback_suggests", &rec.fallback_suggests),
+            ("failure_refits_suppressed", &rec.failure_refits_suppressed),
+            ("jitter_promotions", &rec.jitter_promotions),
+            ("member_drops", &rec.member_drops),
+            ("best_is_real", &r.faulted_best_is_real),
+        ]),
+        json::row(&[
+            ("section", &"snapshot"),
+            ("roundtrip_ms", &r.snapshot_roundtrip_ms),
+            ("bit_identical", &r.snapshot_bit_identical),
+        ]),
+        json::row(&[
+            ("section", &"store_faults"),
+            ("persist_us", &r.store_persist_us),
+            ("raw_persist_us", &r.store_raw_persist_us),
+            ("dispatch_overhead_pct", &r.store_dispatch_overhead_pct),
+            ("sharded_persist_us", &r.store_sharded_persist_us),
+            ("tmp_removed", &r.store_tmp_removed),
+            ("backups_promoted", &r.store_backups_promoted),
+            ("fault_recovered", &r.store_fault_recovered),
+        ]),
     ];
-    json::document("nnbo-robustness-v1", "robustness", quick, "sections", &rows)
+    json::document(
+        "nnbo-robustness-v1",
+        "robustness",
+        quick,
+        &[("sections", rows)],
+    )
 }
 
 #[cfg(test)]

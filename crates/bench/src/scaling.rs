@@ -10,8 +10,7 @@ use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use serde::{Deserialize, Serialize};
 
-use crate::json::number as json_number;
-use crate::BenchError;
+use crate::{json, BenchError};
 
 /// Timing of both surrogates at one training-set size.
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
@@ -213,46 +212,23 @@ pub fn run_subspace_scaling(protocol: &SubspaceProtocol) -> Result<Vec<SubspaceP
 
 /// Serialises the scaling points plus the subspace study as the
 /// `BENCH_scaling.json` document so the complexity trajectory can be tracked
-/// across changes (JSON written by hand with pretty-printed rows; the vendored
-/// `serde::json` writer only emits compact text).
+/// across changes.
 pub fn format_scaling_json(
     points: &[ScalingPoint],
     subspace: &[SubspacePoint],
     quick: bool,
 ) -> String {
-    let rows: Vec<String> = points
-        .iter()
-        .map(|p| {
-            format!(
-                "{{\"n\": {}, \"gp_fit_ms\": {:.3}, \"gp_predict_us\": {:.3}, \"neural_fit_ms\": {:.3}, \"neural_predict_us\": {:.3}}}",
-                p.n,
-                p.gp_fit_ms,
-                p.gp_predict_us,
-                p.neural_fit_ms,
-                p.neural_predict_us,
-            )
-        })
-        .collect();
-    let subspace_rows: Vec<String> = subspace
-        .iter()
-        .map(|p| {
-            format!(
-                "{{\"algorithm\": \"{}\", \"dim\": {}, \"scored_per_iteration\": {}, \"suggest_calls\": {}, \"suggest_mean_us\": {}, \"best_fom\": {}, \"evaluations\": {}}}",
-                p.algorithm,
-                p.dim,
-                p.scored_per_iteration,
-                p.suggest_calls,
-                json_number(p.suggest_mean_us),
-                json_number(p.best_fom),
-                p.evaluations,
-            )
-        })
-        .collect();
-    crate::json::document_sections(
+    json::document(
         "nnbo-bench-scaling-v2",
         "scaling",
         quick,
-        &[("points", &rows), ("subspace", &subspace_rows)],
+        &[
+            ("points", points.iter().map(Serialize::to_value).collect()),
+            (
+                "subspace",
+                subspace.iter().map(Serialize::to_value).collect(),
+            ),
+        ],
     )
 }
 

@@ -439,44 +439,39 @@ pub fn format_serve_table(r: &ServeBenchReport) -> String {
 /// Serialises the report as the `BENCH_serve.json` document.
 pub fn format_serve_json(r: &ServeBenchReport, quick: bool) -> String {
     let rows = vec![
-        format!(
-            "{{\"section\": \"throughput\", \"sessions\": {}, \"evals_per_session\": {}, \
-             \"wall_ms\": {}, \"sessions_per_sec\": {}, \"p50_step_ms\": {}, \"p99_step_ms\": {}, \
-             \"bit_identical\": {}}}",
-            r.sessions,
-            r.evals_per_session,
-            json::number(r.wall_ms),
-            json::number(r.sessions_per_sec),
-            json::number(r.p50_step_ms),
-            json::number(r.p99_step_ms),
-            r.throughput_bit_identical
-        ),
-        format!(
-            "{{\"section\": \"overhead\", \"bare_loop_ms\": {}, \"supervised_ms\": {}, \
-             \"supervision_overhead_pct\": {}}}",
-            json::number(r.bare_loop_ms),
-            json::number(r.supervised_ms),
-            json::number(r.supervision_overhead_pct)
-        ),
-        format!(
-            "{{\"section\": \"recovery\", \"killed_sessions\": {}, \"steps_lost_to_kill\": {}, \
-             \"recover_ms\": {}, \"replay_ms\": {}, \"bit_identical\": {}}}",
-            r.killed_sessions,
-            r.steps_lost_to_kill,
-            json::number(r.recover_ms),
-            json::number(r.replay_ms),
-            r.recovery_bit_identical
-        ),
-        format!(
-            "{{\"section\": \"shedding\", \"sessions_parked\": {}, \"sessions_unparked\": {}, \
-             \"overload_rejections\": {}, \"parked_session_completed\": {}}}",
-            r.sessions_parked,
-            r.sessions_unparked,
-            r.overload_rejections,
-            r.parked_session_completed
-        ),
+        json::row(&[
+            ("section", &"throughput"),
+            ("sessions", &r.sessions),
+            ("evals_per_session", &r.evals_per_session),
+            ("wall_ms", &r.wall_ms),
+            ("sessions_per_sec", &r.sessions_per_sec),
+            ("p50_step_ms", &r.p50_step_ms),
+            ("p99_step_ms", &r.p99_step_ms),
+            ("bit_identical", &r.throughput_bit_identical),
+        ]),
+        json::row(&[
+            ("section", &"overhead"),
+            ("bare_loop_ms", &r.bare_loop_ms),
+            ("supervised_ms", &r.supervised_ms),
+            ("supervision_overhead_pct", &r.supervision_overhead_pct),
+        ]),
+        json::row(&[
+            ("section", &"recovery"),
+            ("killed_sessions", &r.killed_sessions),
+            ("steps_lost_to_kill", &r.steps_lost_to_kill),
+            ("recover_ms", &r.recover_ms),
+            ("replay_ms", &r.replay_ms),
+            ("bit_identical", &r.recovery_bit_identical),
+        ]),
+        json::row(&[
+            ("section", &"shedding"),
+            ("sessions_parked", &r.sessions_parked),
+            ("sessions_unparked", &r.sessions_unparked),
+            ("overload_rejections", &r.overload_rejections),
+            ("parked_session_completed", &r.parked_session_completed),
+        ]),
     ];
-    json::document("nnbo-serve-v1", "serve", quick, "sections", &rows)
+    json::document("nnbo-serve-v1", "serve", quick, &[("sections", rows)])
 }
 
 #[cfg(test)]

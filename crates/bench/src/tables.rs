@@ -9,7 +9,7 @@ use nnbo_core::{
 };
 use serde::{Deserialize, Serialize};
 
-use crate::json::number as json_number;
+use crate::json;
 use crate::protocol::{Algorithm, Protocol};
 use crate::BenchError;
 
@@ -465,76 +465,24 @@ pub fn format_table2_highdim(rows: &[HighDimRow]) -> String {
 }
 
 /// Serialises Table I rows as the `BENCH_table1.json` document so the result
-/// trajectory can be tracked across changes (JSON written by hand with
-/// pretty-printed rows; the vendored `serde::json` writer only emits compact
-/// text).
+/// trajectory can be tracked across changes.
 pub fn format_table1_json(rows: &[Table1Row], quick: bool) -> String {
-    let rendered: Vec<String> = rows
-        .iter()
-        .map(|r| {
-            format!(
-                "{{\"algorithm\": \"{}\", \"ugf_mhz\": {}, \"pm_deg\": {}, \"mean_gain\": {}, \"median_gain\": {}, \"best_gain\": {}, \"worst_gain\": {}, \"avg_sims\": {}, \"success\": \"{}\"}}",
-                r.algorithm,
-                json_number(r.ugf_mhz),
-                json_number(r.pm_deg),
-                json_number(r.mean_gain),
-                json_number(r.median_gain),
-                json_number(r.best_gain),
-                json_number(r.worst_gain),
-                json_number(r.avg_sims),
-                r.success,
-            )
-        })
-        .collect();
-    crate::json::document("nnbo-bench-table1-v1", "table1", quick, "rows", &rendered)
+    let rows = rows.iter().map(Serialize::to_value).collect();
+    json::document("nnbo-bench-table1-v1", "table1", quick, &[("rows", rows)])
 }
 
 /// Serialises Table II rows plus the high-dimensional companion study as the
 /// `BENCH_table2.json` document (see [`format_table1_json`]): a `rows` array
 /// for the charge pump and a `highdim` array for the D = 20 family.
 pub fn format_table2_json(rows: &[Table2Row], highdim: &[HighDimRow], quick: bool) -> String {
-    let rendered: Vec<String> = rows
-        .iter()
-        .map(|r| {
-            format!(
-                "{{\"algorithm\": \"{}\", \"diff1\": {}, \"diff2\": {}, \"diff3\": {}, \"diff4\": {}, \"deviation\": {}, \"mean_fom\": {}, \"median_fom\": {}, \"best_fom\": {}, \"worst_fom\": {}, \"avg_sims\": {}, \"success\": \"{}\"}}",
-                r.algorithm,
-                json_number(r.diff1),
-                json_number(r.diff2),
-                json_number(r.diff3),
-                json_number(r.diff4),
-                json_number(r.deviation),
-                json_number(r.mean_fom),
-                json_number(r.median_fom),
-                json_number(r.best_fom),
-                json_number(r.worst_fom),
-                json_number(r.avg_sims),
-                r.success,
-            )
-        })
-        .collect();
-    let rendered_highdim: Vec<String> = highdim
-        .iter()
-        .map(|r| {
-            format!(
-                "{{\"algorithm\": \"{}\", \"dim\": {}, \"scored_per_iteration\": {}, \"mean_fom\": {}, \"median_fom\": {}, \"best_fom\": {}, \"worst_fom\": {}, \"avg_sims\": {}, \"success\": \"{}\"}}",
-                r.algorithm,
-                r.dim,
-                r.scored_per_iteration,
-                json_number(r.mean_fom),
-                json_number(r.median_fom),
-                json_number(r.best_fom),
-                json_number(r.worst_fom),
-                json_number(r.avg_sims),
-                r.success,
-            )
-        })
-        .collect();
-    crate::json::document_sections(
+    json::document(
         "nnbo-bench-table2-v2",
         "table2",
         quick,
-        &[("rows", &rendered), ("highdim", &rendered_highdim)],
+        &[
+            ("rows", rows.iter().map(Serialize::to_value).collect()),
+            ("highdim", highdim.iter().map(Serialize::to_value).collect()),
+        ],
     )
 }
 
@@ -663,7 +611,6 @@ mod tests {
     fn performance_columns_without_a_best_point_print_null() {
         assert_eq!(best_point_mean(&[1.0, 2.0, 6.0]), 3.0);
         assert!(best_point_mean(&[]).is_nan());
-        assert_eq!(json_number(best_point_mean(&[])), "null");
     }
 
     /// The structural claim behind the high-dimensional section: under the

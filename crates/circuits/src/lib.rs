@@ -90,9 +90,7 @@ pub use dc::{DcAnalysis, DcError, DcSolution};
 pub use mna::MnaSystem;
 pub use mosfet::{MosPolarity, MosTransistor, MosfetModel, OperatingRegion, SmallSignalParams};
 pub use netlist::{Circuit, Element, NodeId, GROUND};
-pub use opamp::{
-    BiasedTwoStageOpAmp, OpAmpPerformance, TwoStageOpAmp, BIASED_OPAMP_DIM, OPAMP_DIM,
-};
+pub use opamp::{OpAmpPerformance, TwoStageOpAmp, OPAMP_DIM};
 pub use pvt::{Process, PvtCorner};
 pub use testbench::{CornerContext, CornerSweep, Testbench};
 pub use tran::{TransientAnalysis, TransientResult, Waveform};

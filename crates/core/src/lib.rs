@@ -168,7 +168,7 @@ pub use bo::{
 pub use design_space::DesignSpace;
 pub use ensemble::{EnsembleConfig, NeuralGpEnsemble, NeuralGpEnsembleTrainer};
 pub use error::BoError;
-pub use neural_gp::{NeuralGp, NeuralGpConfig, NeuralGpTrainer};
+pub use neural_gp::{NeuralGp, NeuralGpConfig};
 pub use problems::{EvalOutcome, Evaluation, Problem, SweepAggregation, SweepProblem};
 pub use report::{RunStatistics, RunSummary};
 pub use resilience::{FailureAction, FailurePolicy, ModelResilience, RecoveryLog};

@@ -1,8 +1,6 @@
 //! Circuit-synthesis problems: the paper's two evaluation circuits.
 
-use nnbo_circuits::{
-    BiasedTwoStageOpAmp, ChargePump, TwoStageOpAmp, BIASED_OPAMP_DIM, CHARGE_PUMP_DIM, OPAMP_DIM,
-};
+use nnbo_circuits::{ChargePump, TwoStageOpAmp, CHARGE_PUMP_DIM, OPAMP_DIM};
 
 use super::{EvalOutcome, Evaluation, Problem};
 
@@ -127,99 +125,6 @@ impl Problem for OpAmpProblem {
 
     fn name(&self) -> &str {
         "two-stage-opamp"
-    }
-}
-
-/// The bias-network-expanded op-amp sizing problem: the Table-I specification
-/// (maximize GAIN s.t. UGF > 40 MHz, PM > 60°) over the 13-dimensional
-/// [`BiasedTwoStageOpAmp`] design space, where the compensation resistor,
-/// the bias-mirror ratio and the output-stage current multiplier are design
-/// variables alongside the 10 sizing variables.
-///
-/// This is the high-dimensional circuit scenario the LinEasyBO subspace
-/// strategy targets: the search space strictly contains the fixed-bias
-/// Table-I problem, so the attainable optimum is at least as good.
-///
-/// # Example
-///
-/// ```
-/// use nnbo_core::problems::{BiasedOpAmpProblem, Problem};
-///
-/// let problem = BiasedOpAmpProblem::new();
-/// assert_eq!(problem.dim(), 13);
-/// assert_eq!(problem.num_constraints(), 2);
-/// ```
-#[derive(Debug, Clone)]
-pub struct BiasedOpAmpProblem {
-    bench: BiasedTwoStageOpAmp,
-    min_ugf_hz: f64,
-    min_pm_deg: f64,
-}
-
-impl Default for BiasedOpAmpProblem {
-    fn default() -> Self {
-        BiasedOpAmpProblem {
-            bench: BiasedTwoStageOpAmp::new(),
-            min_ugf_hz: 40e6,
-            min_pm_deg: 60.0,
-        }
-    }
-}
-
-impl BiasedOpAmpProblem {
-    /// Creates the problem with the paper's specification (UGF > 40 MHz, PM > 60°).
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// The underlying circuit testbench.
-    pub fn bench(&self) -> &BiasedTwoStageOpAmp {
-        &self.bench
-    }
-
-    /// Full circuit performances at a normalised design point.
-    pub fn performances(&self, x: &[f64]) -> nnbo_circuits::OpAmpPerformance {
-        self.bench.evaluate_normalized(x)
-    }
-}
-
-impl Problem for BiasedOpAmpProblem {
-    fn dim(&self) -> usize {
-        BIASED_OPAMP_DIM
-    }
-
-    fn num_constraints(&self) -> usize {
-        2
-    }
-
-    fn evaluate(&self, x: &[f64]) -> Evaluation {
-        let p = self.bench.evaluate_normalized(x);
-        Evaluation::new(
-            -p.gain_db,
-            vec![
-                (self.min_ugf_hz - p.ugf_hz) / 1e6,
-                self.min_pm_deg - p.pm_deg,
-            ],
-        )
-    }
-
-    fn try_evaluate(&self, x: &[f64]) -> EvalOutcome {
-        match self.bench.try_evaluate_normalized(x) {
-            Ok(p) => EvalOutcome::Ok(Evaluation::new(
-                -p.gain_db,
-                vec![
-                    (self.min_ugf_hz - p.ugf_hz) / 1e6,
-                    self.min_pm_deg - p.pm_deg,
-                ],
-            )),
-            Err(reason) => {
-                EvalOutcome::Failed(format!("biased op-amp simulation failed: {reason}"))
-            }
-        }
-    }
-
-    fn name(&self) -> &str {
-        "biased-two-stage-opamp"
     }
 }
 
@@ -367,36 +272,6 @@ mod tests {
         assert_eq!(OpAmpProblem::new().name(), "two-stage-opamp");
         assert_eq!(ChargePumpProblem::new().dim(), 36);
         assert_eq!(ChargePumpProblem::new().num_constraints(), 5);
-        assert_eq!(BiasedOpAmpProblem::new().dim(), 13);
-        assert_eq!(BiasedOpAmpProblem::new().num_constraints(), 2);
-        assert_eq!(BiasedOpAmpProblem::new().name(), "biased-two-stage-opamp");
-    }
-
-    #[test]
-    fn biased_opamp_contains_the_fixed_bias_problem() {
-        // At the fixed bench's bias constants the expanded problem evaluates
-        // to exactly the Table-I problem, so its search space strictly
-        // contains the 10-D one.
-        let fixed = OpAmpProblem::new();
-        let expanded = BiasedOpAmpProblem::new();
-        let sizing = [0.3, 0.5, 0.7, 0.2, 0.6, 0.4, 0.8, 0.5, 0.35, 0.45];
-        let bounds = expanded.bench().bounds();
-        let mut x = sizing.to_vec();
-        // Normalised coordinates of R_z = 1 kΩ, ratio 10, multiplier 3.
-        x.push((1.0e3 - bounds[10].0) / (bounds[10].1 - bounds[10].0));
-        x.push((10.0 - bounds[11].0) / (bounds[11].1 - bounds[11].0));
-        x.push((3.0 - bounds[12].0) / (bounds[12].1 - bounds[12].0));
-        let a = expanded.evaluate(&x);
-        let b = fixed.evaluate(&sizing);
-        assert!((a.objective - b.objective).abs() < 1e-9);
-        for (ga, gb) in a.constraints.iter().zip(b.constraints.iter()) {
-            assert!((ga - gb).abs() < 1e-9);
-        }
-        // The honest path agrees with the projection on healthy points.
-        match expanded.try_evaluate(&x) {
-            crate::problems::EvalOutcome::Ok(e) => assert_eq!(e, a),
-            other => panic!("healthy biased op-amp point failed: {other:?}"),
-        }
     }
 
     #[test]

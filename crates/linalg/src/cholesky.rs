@@ -369,19 +369,6 @@ impl Cholesky {
         self.sweep_matrix_in_place(b, Sweep::Lower);
     }
 
-    /// Solves `Lᵀ X = Y` for a full right-hand-side matrix `Y` (`n × m`) with
-    /// one vectorised backward sweep (see [`Cholesky::solve_lower_matrix`],
-    /// including its column-blocked threading for wide right-hand sides).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `y.nrows() != dim()`.
-    pub fn solve_upper_matrix(&self, y: &Matrix) -> Matrix {
-        let mut x = y.clone();
-        self.sweep_matrix_in_place(&mut x, Sweep::Upper);
-        x
-    }
-
     /// Solves `A X = B` where `A = L Lᵀ`, for all columns of `B` in two
     /// vectorised triangular sweeps.
     ///

@@ -129,16 +129,6 @@ impl Matrix {
         Matrix { rows, cols, data }
     }
 
-    /// Builds a diagonal matrix from the given diagonal entries.
-    pub fn from_diag(diag: &[f64]) -> Self {
-        let n = diag.len();
-        let mut m = Matrix::zeros(n, n);
-        for (i, &d) in diag.iter().enumerate() {
-            m[(i, i)] = d;
-        }
-        m
-    }
-
     /// Builds a single-column matrix from a vector.
     pub fn column(v: &[f64]) -> Self {
         Matrix {
@@ -176,11 +166,6 @@ impl Matrix {
     /// Mutable borrow of the underlying row-major storage.
     pub fn as_mut_slice(&mut self) -> &mut [f64] {
         &mut self.data
-    }
-
-    /// Consumes the matrix and returns the underlying row-major storage.
-    pub fn into_vec(self) -> Vec<f64> {
-        self.data
     }
 
     /// Returns row `i` as a slice.
@@ -541,13 +526,6 @@ impl Matrix {
             rows: self.rows,
             cols: self.cols,
             data: self.data.iter().map(|&x| f(x)).collect(),
-        }
-    }
-
-    /// In-place elementwise map.
-    pub fn map_inplace<F: Fn(f64) -> f64>(&mut self, f: F) {
-        for x in &mut self.data {
-            *x = f(*x);
         }
     }
 

@@ -201,14 +201,6 @@ impl DenseLayer {
 }
 
 impl LayerGradient {
-    /// A zero gradient with the same shape as `layer`.
-    pub fn zeros_like(layer: &DenseLayer) -> Self {
-        LayerGradient {
-            weights: Matrix::zeros(layer.output_dim(), layer.input_dim()),
-            bias: vec![0.0; layer.output_dim()],
-        }
-    }
-
     /// Appends the gradient values to a flat vector (same ordering as
     /// [`DenseLayer::append_params`]).
     pub fn append_flat(&self, out: &mut Vec<f64>) {

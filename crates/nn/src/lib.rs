@@ -9,9 +9,8 @@
 //! * [`Mlp`] — a multi-layer perceptron with batched forward pass and full
 //!   back-propagation through cached activations;
 //! * [`Activation`] — ReLU / Tanh / Identity activations;
-//! * [`Adam`] and [`Sgd`] — first-order optimizers operating on flat parameter
-//!   vectors so that network weights and GP hyper-parameters can be optimized
-//!   jointly;
+//! * [`Adam`] — the first-order optimizer, operating on flat parameter vectors
+//!   so that network weights and GP hyper-parameters can be optimized jointly;
 //! * gradient checking helpers used by the test-suite.
 //!
 //! # Example
@@ -40,4 +39,4 @@ pub use activation::Activation;
 pub use gradcheck::finite_difference_gradient;
 pub use layer::{DenseLayer, LayerGradient};
 pub use mlp::{ForwardCache, Mlp, MlpConfig, MlpGradient};
-pub use optimizer::{Adam, AdamConfig, GradientDescentConfig, Optimizer, Sgd};
+pub use optimizer::{Adam, AdamConfig, Optimizer};

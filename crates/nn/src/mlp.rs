@@ -49,12 +49,6 @@ impl MlpConfig {
         self
     }
 
-    /// Sets the output-layer activation.
-    pub fn with_output_activation(mut self, activation: Activation) -> Self {
-        self.output_activation = activation;
-        self
-    }
-
     /// Input dimension.
     pub fn input_dim(&self) -> usize {
         self.input_dim

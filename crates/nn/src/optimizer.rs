@@ -166,80 +166,6 @@ impl Optimizer for Adam {
     }
 }
 
-/// Configuration for plain stochastic gradient descent.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
-pub struct GradientDescentConfig {
-    /// Learning rate (default `1e-3`).
-    pub learning_rate: f64,
-    /// Classical momentum coefficient (default `0.0`, i.e. no momentum).
-    pub momentum: f64,
-}
-
-impl Default for GradientDescentConfig {
-    fn default() -> Self {
-        GradientDescentConfig {
-            learning_rate: 1e-3,
-            momentum: 0.0,
-        }
-    }
-}
-
-/// Gradient descent with optional momentum.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
-pub struct Sgd {
-    config: GradientDescentConfig,
-    velocity: Vec<f64>,
-}
-
-impl Sgd {
-    /// Creates an SGD optimizer with the given configuration.
-    pub fn new(config: GradientDescentConfig) -> Self {
-        Sgd {
-            config,
-            velocity: Vec::new(),
-        }
-    }
-
-    /// Creates an SGD optimizer with the given learning rate and no momentum.
-    pub fn with_learning_rate(learning_rate: f64) -> Self {
-        Sgd::new(GradientDescentConfig {
-            learning_rate,
-            momentum: 0.0,
-        })
-    }
-}
-
-impl Default for Sgd {
-    fn default() -> Self {
-        Sgd::new(GradientDescentConfig::default())
-    }
-}
-
-impl Optimizer for Sgd {
-    fn step(&mut self, params: &mut [f64], grad: &[f64]) {
-        assert_eq!(
-            params.len(),
-            grad.len(),
-            "parameter/gradient length mismatch"
-        );
-        if self.velocity.len() != params.len() {
-            self.velocity = vec![0.0; params.len()];
-        }
-        for i in 0..params.len() {
-            if !grad[i].is_finite() {
-                continue;
-            }
-            self.velocity[i] =
-                self.config.momentum * self.velocity[i] - self.config.learning_rate * grad[i];
-            params[i] += self.velocity[i];
-        }
-    }
-
-    fn reset(&mut self) {
-        self.velocity.clear();
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -277,20 +203,6 @@ mod tests {
         }
         let (f1, _) = rosenbrock(&p);
         assert!(f1 < f0 * 1e-3, "insufficient progress: {f0} -> {f1}");
-    }
-
-    #[test]
-    fn sgd_with_momentum_minimises_quadratic() {
-        let mut sgd = Sgd::new(GradientDescentConfig {
-            learning_rate: 0.05,
-            momentum: 0.5,
-        });
-        let mut p = vec![3.0];
-        for _ in 0..500 {
-            let grad = vec![2.0 * p[0]];
-            sgd.step(&mut p, &grad);
-        }
-        assert!(p[0].abs() < 1e-4);
     }
 
     #[test]
