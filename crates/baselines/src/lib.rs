@@ -49,6 +49,7 @@
 //! never reported as the optimum, and bit-identical mid-run
 //! snapshot/resume.
 
+#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 mod de;

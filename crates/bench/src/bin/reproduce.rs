@@ -22,6 +22,8 @@
 //! the paper-scale protocol, `NNBO_RUNS=<n>` overrides the repetition count,
 //! `NNBO_MAX_SIMS=<n>` the BO simulation budget (ignored under `--quick`).
 
+#![forbid(unsafe_code)]
+
 use nnbo_bench::{
     format_fit_json, format_fit_table, format_linalg_json, format_linalg_table,
     format_predict_json, format_predict_table, format_pvt_json, format_pvt_table,

@@ -6,6 +6,7 @@
 //! Table II.  The `reproduce` binary is a thin CLI over this module, and the
 //! integration tests exercise the same entry points at reduced scale.
 
+#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 /// Serialises the library unit tests that toggle the process-global kernel

@@ -3,8 +3,12 @@
 use serde::{Deserialize, Serialize};
 
 use crate::complex::Complex;
-use crate::dc::DcSolution;
-use crate::netlist::{Circuit, Element, NodeId, GROUND};
+
+/// Index of a circuit node.  Node [`GROUND`] (index 0) is the reference node.
+pub type NodeId = usize;
+
+/// The ground (reference) node.
+pub const GROUND: NodeId = 0;
 
 /// An element of a linear small-signal circuit.
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
@@ -99,124 +103,6 @@ impl SmallSignalCircuit {
             }
         }
         self.elements.push(element);
-    }
-
-    /// Number of nodes, including ground.
-    pub fn node_count(&self) -> usize {
-        self.node_count
-    }
-
-    /// The AC input node.
-    pub fn input(&self) -> NodeId {
-        self.input
-    }
-
-    /// The output node whose transfer function is measured.
-    pub fn output(&self) -> NodeId {
-        self.output
-    }
-
-    /// Elements of the circuit.
-    pub fn elements(&self) -> &[SmallSignalElement] {
-        &self.elements
-    }
-
-    /// Linearises a nonlinear [`Circuit`] around a DC operating point.
-    ///
-    /// Resistors become conductances, capacitors stay capacitors, independent
-    /// voltage sources become AC shorts (their nodes are tied to ground through a
-    /// very large conductance), independent current sources become opens, and each
-    /// MOSFET contributes its `gm`, `gds`, `cgs`, `cgd` and `cdb` from the operating
-    /// point.  The AC excitation is applied at `input` and read at `output`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the number of entries in `dc.mosfet_params` does not match the
-    /// number of MOSFETs in the circuit.
-    pub fn linearize(circuit: &Circuit, dc: &DcSolution, input: NodeId, output: NodeId) -> Self {
-        let mut ss = SmallSignalCircuit::new(circuit.node_count(), input, output);
-        let mut mos_idx = 0;
-        for element in circuit.elements() {
-            match element {
-                Element::Resistor { a, b, ohms } => ss.add(SmallSignalElement::Conductance {
-                    a: *a,
-                    b: *b,
-                    siemens: 1.0 / ohms,
-                }),
-                Element::Capacitor { a, b, farads } => ss.add(SmallSignalElement::Capacitor {
-                    a: *a,
-                    b: *b,
-                    farads: *farads,
-                }),
-                Element::CurrentSource { .. } => {}
-                Element::VoltageSource { plus, minus, .. } => {
-                    // AC short: an ideal DC supply has zero small-signal impedance.
-                    // Skip the AC input port itself (it is driven by the analysis).
-                    if *plus != input && *minus != input {
-                        ss.add(SmallSignalElement::Conductance {
-                            a: *plus,
-                            b: *minus,
-                            siemens: 1e9,
-                        });
-                    }
-                }
-                Element::Vccs {
-                    out_plus,
-                    out_minus,
-                    ctrl_plus,
-                    ctrl_minus,
-                    gm,
-                } => ss.add(SmallSignalElement::Vccs {
-                    out_plus: *out_plus,
-                    out_minus: *out_minus,
-                    ctrl_plus: *ctrl_plus,
-                    ctrl_minus: *ctrl_minus,
-                    gm: *gm,
-                }),
-                Element::Mosfet {
-                    drain,
-                    gate,
-                    source,
-                    ..
-                } => {
-                    let p = dc.mosfet_params[mos_idx];
-                    mos_idx += 1;
-                    ss.add(SmallSignalElement::Vccs {
-                        out_plus: *drain,
-                        out_minus: *source,
-                        ctrl_plus: *gate,
-                        ctrl_minus: *source,
-                        gm: p.gm,
-                    });
-                    ss.add(SmallSignalElement::Conductance {
-                        a: *drain,
-                        b: *source,
-                        siemens: p.gds,
-                    });
-                    ss.add(SmallSignalElement::Capacitor {
-                        a: *gate,
-                        b: *source,
-                        farads: p.cgs,
-                    });
-                    ss.add(SmallSignalElement::Capacitor {
-                        a: *gate,
-                        b: *drain,
-                        farads: p.cgd,
-                    });
-                    ss.add(SmallSignalElement::Capacitor {
-                        a: *drain,
-                        b: GROUND,
-                        farads: p.cdb,
-                    });
-                }
-            }
-        }
-        assert_eq!(
-            mos_idx,
-            dc.mosfet_params.len(),
-            "DC solution does not match the circuit's MOSFET count"
-        );
-        ss
     }
 
     /// Solves the circuit at angular frequency `omega` (rad/s) and returns the
@@ -572,6 +458,84 @@ mod tests {
         // Single-pole system: phase margin ≈ 90°.
         assert!((metrics.phase_margin_deg - 90.0).abs() < 3.0);
         assert!(metrics.crossed_unity);
+    }
+
+    #[test]
+    fn two_stage_miller_amplifier_matches_the_closed_form() {
+        // The topology `TwoStageOpAmp` sweeps, without the nulling resistor: two
+        // inverting VCCS stages with output conductances and node capacitances,
+        // and the Miller capacitor Cc across the second stage.
+        use std::f64::consts::PI;
+        let (gm1, g1, c1) = (100e-6, 1e-6, 0.1e-12);
+        let (gm2, g2, cl) = (1e-3, 10e-6, 1e-12);
+        let cc = 1e-12;
+        let mut ss = SmallSignalCircuit::new(4, 1, 3);
+        ss.add(SmallSignalElement::Vccs {
+            out_plus: 2,
+            out_minus: GROUND,
+            ctrl_plus: 1,
+            ctrl_minus: GROUND,
+            gm: gm1,
+        });
+        ss.add(SmallSignalElement::Conductance {
+            a: 2,
+            b: GROUND,
+            siemens: g1,
+        });
+        ss.add(SmallSignalElement::Capacitor {
+            a: 2,
+            b: GROUND,
+            farads: c1,
+        });
+        ss.add(SmallSignalElement::Vccs {
+            out_plus: 3,
+            out_minus: GROUND,
+            ctrl_plus: 2,
+            ctrl_minus: GROUND,
+            gm: gm2,
+        });
+        ss.add(SmallSignalElement::Conductance {
+            a: 3,
+            b: GROUND,
+            siemens: g2,
+        });
+        ss.add(SmallSignalElement::Capacitor {
+            a: 3,
+            b: GROUND,
+            farads: cl,
+        });
+        ss.add(SmallSignalElement::Capacitor {
+            a: 2,
+            b: 3,
+            farads: cc,
+        });
+        let metrics = AcAnalysis::new(AcSweep {
+            start_hz: 10.0,
+            stop_hz: 10e9,
+            points_per_decade: 40,
+        })
+        .bode_metrics(&ss)
+        .unwrap();
+        assert!(metrics.crossed_unity);
+
+        let a0_db = 20.0 * (gm1 * gm2 / (g1 * g2)).log10();
+        assert!(
+            (metrics.dc_gain_db - a0_db).abs() < 0.2,
+            "gain {} dB vs {a0_db} dB",
+            metrics.dc_gain_db
+        );
+        let gbw = gm1 / (2.0 * PI * cc);
+        let f_u = metrics.unity_gain_freq_hz;
+        assert!((f_u - gbw).abs() / gbw < 0.05, "ugf {f_u} vs gbw {gbw}");
+        // Non-dominant pole and right-half-plane zero of the Miller-compensated pair.
+        let f_p2 = gm2 * cc / (2.0 * PI * (c1 * cl + cc * (c1 + cl)));
+        let f_z = gm2 / (2.0 * PI * cc);
+        let pm = 90.0 - (f_u / f_p2).atan().to_degrees() - (f_u / f_z).atan().to_degrees();
+        assert!(
+            (metrics.phase_margin_deg - pm).abs() < 2.0,
+            "phase margin {} vs {pm}",
+            metrics.phase_margin_deg
+        );
     }
 
     #[test]

@@ -154,7 +154,7 @@ enum Device {
 ///
 /// The paper's Table-II circuit is a proprietary SMIC 40 nm charge pump provided by
 /// the authors of the WEIBO paper; this testbench substitutes a physics-motivated
-/// behavioural model of the same structure (documented in `DESIGN.md`):
+/// behavioural model of the same structure (the crate docs say why):
 ///
 /// * PMOS (UP) and NMOS (DOWN) output current sources built as cascoded mirrors with
 ///   series switches, referenced to a 40 µA bias branch;

@@ -1,27 +1,40 @@
-//! Analog circuit simulation substrate for the `nnbo` workspace.
+//! Analog circuit testbenches for the `nnbo` workspace.
 //!
-//! The paper evaluates its optimizer on two real circuits simulated with HSPICE on
-//! SMIC 180nm/40nm PDKs.  Neither the simulator nor the PDKs are available here, so
-//! this crate implements the substrate from scratch:
+//! # What stands in for HSPICE
 //!
-//! * [`Complex`] — complex arithmetic for AC (frequency-domain) analysis;
-//! * [`Circuit`] / [`Element`] — netlists of resistors, capacitors, sources,
-//!   voltage-controlled current sources and level-1 MOSFETs;
-//! * [`MnaSystem`] — modified nodal analysis stamping, real (DC) and complex (AC);
-//! * [`DcAnalysis`] — Newton–Raphson operating-point solver with gmin stepping;
-//! * [`AcAnalysis`] / [`BodeMetrics`] — small-signal frequency sweeps and the
-//!   gain / unity-gain-frequency / phase-margin metrics used by the op-amp spec;
+//! The paper sizes both of its circuits with HSPICE on SMIC PDKs: the Table-I
+//! two-stage op-amp on 180 nm and the Table-II charge pump on 40 nm.  Neither
+//! the simulator nor the PDKs are available here, and the optimizer only ever
+//! sees a simulator as a black box that maps a design point to performances.
+//! So each testbench computes its performances from models built in this crate:
+//!
+//! * the op-amp ([`TwoStageOpAmp`]) sets its bias point in closed form from the
+//!   current-mirror topology (square-law MOSFETs), then sweeps the small-signal
+//!   circuit (device capacitances, the Miller branch and the zero-nulling
+//!   resistor) with a complex modified-nodal-analysis (MNA) AC analysis to
+//!   read GAIN, UGF and phase margin;
+//! * the charge pump ([`ChargePump`]) is a behavioural model of the same
+//!   structure as the paper's circuit: cascoded UP/DOWN mirrors with switches, a
+//!   replica amplifier, channel-length modulation, compliance, charge injection
+//!   and corner-dependent mismatch.
+//!
+//! No transistor-level DC or transient engine is needed for either, so there
+//! is none.
+//!
+//! # Modules
+//!
+//! * [`Complex`] — complex arithmetic for the AC analysis;
+//! * [`SmallSignalCircuit`] / [`AcAnalysis`] / [`BodeMetrics`] — linear
+//!   small-signal circuits (conductances, capacitors, VCCSs), their complex-MNA
+//!   frequency sweeps and the gain / unity-gain-frequency / phase-margin metrics
+//!   used by the op-amp spec;
 //! * [`MosfetModel`] / [`MosTransistor`] — square-law (level-1) MOSFET model with
 //!   channel-length modulation and small-signal extraction;
-//! * [`TransientAnalysis`] / [`Waveform`] — fixed-step backward-Euler time-domain
-//!   simulation with pulse/sine stimuli;
 //! * [`TwoStageOpAmp`] — the Table-I testbench (10 design variables → GAIN/UGF/PM);
 //! * [`ChargePump`] + [`PvtCorner`] — the Table-II testbench (36 design variables,
 //!   18 PVT corners → current-matching metrics and FOM);
 //! * [`Testbench`] / [`CornerSweep`] — the declarative testbench layer and the PVT
 //!   corner-sweep combinator (see below).
-//!
-//! See `DESIGN.md` at the repository root for the substitution rationale.
 //!
 //! # Example
 //!
@@ -39,7 +52,7 @@
 //!
 //! Circuit problems compose declaratively instead of being hand-wired: a
 //! [`Testbench`] owns its design-space mapping (bounds + denormalisation), its
-//! netlist/MNA build, the analyses it runs and the metrics it measures, all behind
+//! circuit model, the analyses it runs and the metrics it measures, all behind
 //! one corner-aware entry point, [`Testbench::measure`].  A [`CornerSweep`] expands
 //! one testbench into K [`PvtCorner`] variants, and [`CornerSweep::run_corner`]
 //! measures one of them.  A failed corner surfaces as an error naming the corner,
@@ -67,30 +80,25 @@
 //! constraints).  Its one-band path, `with_parallel(false)`, is the reference the
 //! parallel fan-out is pinned against bit for bit.
 
+#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 mod ac;
 mod chargepump;
 mod complex;
-mod dc;
-mod mna;
 mod mosfet;
-mod netlist;
 mod opamp;
 mod pvt;
 mod testbench;
-mod tran;
 
-pub use ac::{AcAnalysis, AcSweep, BodeMetrics, SmallSignalCircuit, SmallSignalElement};
+pub use ac::{
+    AcAnalysis, AcSweep, BodeMetrics, NodeId, SmallSignalCircuit, SmallSignalElement, GROUND,
+};
 pub use chargepump::{
     ChargePump, ChargePumpCornerMeasurement, ChargePumpPerformance, CHARGE_PUMP_DIM,
 };
 pub use complex::Complex;
-pub use dc::{DcAnalysis, DcError, DcSolution};
-pub use mna::MnaSystem;
 pub use mosfet::{MosPolarity, MosTransistor, MosfetModel, OperatingRegion, SmallSignalParams};
-pub use netlist::{Circuit, Element, NodeId, GROUND};
 pub use opamp::{OpAmpPerformance, TwoStageOpAmp, OPAMP_DIM};
 pub use pvt::{Process, PvtCorner};
 pub use testbench::{CornerContext, CornerSweep, Testbench};
-pub use tran::{TransientAnalysis, TransientResult, Waveform};

@@ -206,12 +206,6 @@ impl MosTransistor {
         }
     }
 
-    /// Gate-source voltage magnitude needed to carry `|id|` in saturation
-    /// (ignoring channel-length modulation): `Vgs = Vth + sqrt(2·Id/β)`.
-    pub fn vgs_for_current(&self, id: f64) -> f64 {
-        self.model.vth + (2.0 * id.max(0.0) / self.beta()).sqrt()
-    }
-
     /// Overdrive voltage `Vov = sqrt(2·Id/β)` for the device carrying `|id|` in
     /// saturation.
     pub fn overdrive_for_current(&self, id: f64) -> f64 {
@@ -313,17 +307,6 @@ mod tests {
         let gds_num = (m.evaluate(vg, vd + h, vs).ids - m.evaluate(vg, vd - h, vs).ids) / (2.0 * h);
         assert!((p.gm - gm_num).abs() / gm_num < 1e-4);
         assert!((p.gds - gds_num).abs() / gds_num.max(1e-12) < 1e-3);
-    }
-
-    #[test]
-    fn vgs_for_current_is_consistent_with_evaluate() {
-        let m = nmos(10.0, 1.0);
-        let id = 50e-6;
-        let vgs = m.vgs_for_current(id);
-        // Bias the device in saturation with that Vgs: current should be close to id
-        // (up to channel-length modulation).
-        let p = m.evaluate(vgs, 1.5, 0.0);
-        assert!((p.ids - id).abs() / id < 0.1);
     }
 
     #[test]

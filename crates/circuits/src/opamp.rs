@@ -2,9 +2,8 @@
 
 use serde::{Deserialize, Serialize};
 
-use crate::ac::{AcAnalysis, AcSweep, SmallSignalCircuit, SmallSignalElement};
+use crate::ac::{AcAnalysis, AcSweep, SmallSignalCircuit, SmallSignalElement, GROUND};
 use crate::mosfet::{MosTransistor, MosfetModel};
-use crate::netlist::GROUND;
 use crate::pvt::PvtCorner;
 use crate::testbench::{CornerContext, Testbench};
 

@@ -4,7 +4,7 @@
 //! corner variants.
 //!
 //! A [`Testbench`] owns everything one evaluation needs — the bounds of
-//! its physical design space, the netlist/MNA build, the analyses to run
+//! its physical design space, the circuit model, the analyses to run
 //! and the metrics it measures — and exposes them through a single
 //! corner-aware entry point, [`Testbench::measure`].  [`CornerSweep`]
 //! composes a testbench with a list of [`PvtCorner`]s, turning "one design
@@ -48,7 +48,7 @@ impl CornerContext {
 }
 
 /// A declarative circuit testbench: one type owning its design-space
-/// mapping, its netlist/MNA build, the analyses it runs and the metrics it
+/// mapping, its circuit model, the analyses it runs and the metrics it
 /// measures.
 ///
 /// Implementations must be deterministic and corner-pure: measuring the

@@ -194,6 +194,71 @@ mod tests {
     }
 
     #[test]
+    fn ei_and_wei_match_monte_carlo_means() {
+        // Eq. 6-7 are expectations under independent Gaussians: EI = E[max(τ−Y, 0)]
+        // and wEI = E[max(τ−Y, 0)·∏ 1{G_i < 0}].  Estimate both from seeded draws
+        // and accept a gap of 5 standard errors plus the 1.5e-7 error of the
+        // `normal_cdf` approximation.
+        use rand::rngs::StdRng;
+        use rand::{Rng, SeedableRng};
+
+        const DRAWS: usize = 200_000;
+        let constraints = [
+            Prediction::new(-0.5, 0.36),
+            Prediction::new(0.3, 1.0),
+            Prediction::new(-1.2, 0.25),
+        ];
+        let mut rng = StdRng::seed_from_u64(7);
+        // Box–Muller: two independent standard normals per pair of uniforms.
+        let mut normal_pair = || {
+            let r = (-2.0 * (1.0 - rng.gen::<f64>()).ln()).sqrt();
+            let theta = 2.0 * std::f64::consts::PI * rng.gen::<f64>();
+            (r * theta.cos(), r * theta.sin())
+        };
+        for mean in [-0.8, 0.0, 0.6] {
+            for std in [0.4, 1.5] {
+                for tau in [-0.3, 0.5] {
+                    let objective = Prediction::new(mean, std * std);
+                    // Running sums of the k-constraint integrand and its square.
+                    let mut sum = [0.0; 4];
+                    let mut sum_sq = [0.0; 4];
+                    for _ in 0..DRAWS {
+                        let (z0, z1) = normal_pair();
+                        let (z2, z3) = normal_pair();
+                        let mut value = (tau - (mean + std * z0)).max(0.0);
+                        sum[0] += value;
+                        sum_sq[0] += value * value;
+                        for (k, (c, z)) in constraints.iter().zip([z1, z2, z3]).enumerate() {
+                            if c.mean + c.std() * z >= 0.0 {
+                                value = 0.0;
+                            }
+                            sum[k + 1] += value;
+                            sum_sq[k + 1] += value * value;
+                        }
+                    }
+                    let n = DRAWS as f64;
+                    for k in 0..4 {
+                        let mc = sum[k] / n;
+                        let variance = (sum_sq[k] - n * mc * mc) / (n - 1.0);
+                        let tolerance = 5.0 * (variance / n).sqrt() + 1.5e-7;
+                        let closed =
+                            weighted_expected_improvement(&objective, &constraints[..k], Some(tau));
+                        assert!(
+                            (closed - mc).abs() < tolerance,
+                            "wEI with {k} constraints at (μ={mean}, σ={std}, τ={tau}): \
+                             closed form {closed} vs Monte-Carlo {mc} ± {tolerance}"
+                        );
+                        if k == 0 {
+                            let ei = expected_improvement(&objective, tau);
+                            assert!((ei - mc).abs() < tolerance, "EI {ei} vs {mc}");
+                        }
+                    }
+                }
+            }
+        }
+    }
+
+    #[test]
     fn feasibility_probability_tracks_constraint_margin() {
         // g < 0 is "satisfied": strongly negative mean → probability near 1.
         assert!(feasibility_probability(&Prediction::new(-3.0, 1.0)) > 0.99);

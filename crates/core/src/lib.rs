@@ -61,7 +61,7 @@
 //! # Fault tolerance: the error and recovery taxonomy
 //!
 //! Real circuit simulations fail — a corner doesn't converge, a license times
-//! out, a netlist is singular at some design point.  The loop separates
+//! out, a small-signal system is singular at some design point.  The loop separates
 //! *recoverable faults*, which it absorbs and logs, from *errors*, which
 //! abort the run via [`BoError`]:
 //!
@@ -147,6 +147,7 @@
 //! # }
 //! ```
 
+#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 pub mod acquisition;

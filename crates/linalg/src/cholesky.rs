@@ -794,7 +794,8 @@ impl Cholesky {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::Lu;
+    use crate::lu::Lu;
+    use proptest::prelude::*;
 
     /// The row-ordered panel factorization the column sweep replaced: per
     /// panel, the diagonal block row by row, then the sub-panel row by row,
@@ -1397,5 +1398,33 @@ mod tests {
         let x = c.solve_vec(&b);
         let direct: f64 = b.iter().zip(x.iter()).map(|(u, v)| u * v).sum();
         assert!((c.quadratic_form(&b) - direct).abs() < 1e-10);
+    }
+
+    /// Strategy: a random square matrix of dimension 1..=6 with entries in [-5, 5].
+    fn square_matrix(max_dim: usize) -> impl Strategy<Value = Matrix> {
+        (1..=max_dim).prop_flat_map(|n| {
+            prop::collection::vec(-5.0..5.0_f64, n * n)
+                .prop_map(move |data| Matrix::from_vec(n, n, data))
+        })
+    }
+
+    /// Builds a symmetric positive-definite matrix as `B Bᵀ + n·I` from a random `B`.
+    fn make_spd(b: &Matrix) -> Matrix {
+        let mut a = b.matmul_transpose(b);
+        a.add_diag(b.nrows() as f64 + 1.0);
+        a
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(64))]
+
+        #[test]
+        fn cholesky_and_lu_logdet_agree(b in square_matrix(5)) {
+            let a = make_spd(&b);
+            let chol = Cholesky::decompose(&a).unwrap();
+            let lu = Lu::decompose(&a).unwrap();
+            let ld_lu = lu.log_det().unwrap();
+            prop_assert!((chol.log_det() - ld_lu).abs() < 1e-7 * (1.0 + ld_lu.abs()));
+        }
     }
 }

@@ -20,11 +20,6 @@ pub enum LinalgError {
         /// Value of the offending pivot.
         value: f64,
     },
-    /// An LU factorization met a (numerically) singular pivot.
-    Singular {
-        /// Index of the singular pivot.
-        pivot: usize,
-    },
     /// A routine that requires a square matrix received a rectangular one.
     NotSquare {
         /// Number of rows of the offending matrix.
@@ -50,9 +45,6 @@ impl fmt::Display for LinalgError {
                 f,
                 "matrix is not positive definite (pivot {pivot} has value {value:e})"
             ),
-            LinalgError::Singular { pivot } => {
-                write!(f, "matrix is singular at pivot {pivot}")
-            }
             LinalgError::NotSquare { rows, cols } => {
                 write!(f, "expected a square matrix, got {rows}x{cols}")
             }

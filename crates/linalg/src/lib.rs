@@ -1,7 +1,7 @@
 //! Dense linear algebra substrate for the `nnbo` workspace.
 //!
 //! The Gaussian-process models and the neural-network feature maps of the paper
-//! only need dense, moderate-size linear algebra: matrix products, Cholesky and LU
+//! only need dense, moderate-size linear algebra: matrix products, Cholesky
 //! factorizations, triangular solves and log-determinants.  This crate implements
 //! those primitives from scratch on top of a row-major [`Matrix`] type so that the
 //! workspace has no external numeric dependencies.
@@ -122,6 +122,7 @@ mod cholesky;
 mod dispatch;
 mod error;
 mod kernels;
+#[cfg(test)]
 mod lu;
 mod matrix;
 mod packed;
@@ -132,7 +133,6 @@ mod vector;
 pub use cholesky::Cholesky;
 pub use dispatch::{force_portable_kernels, kernel_isa, PORTABLE_ENV};
 pub use error::LinalgError;
-pub use lu::Lu;
 pub use matrix::Matrix;
 pub use stats::{mean, sample_std, standardize, Standardizer};
 pub use vector::{

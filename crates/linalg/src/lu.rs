@@ -1,56 +1,26 @@
-//! LU factorization with partial pivoting.
+//! LU factorization with partial pivoting, kept only as a test oracle: the
+//! Cholesky log-determinant checks compare against it.
 
-use serde::{Deserialize, Serialize};
-
-use crate::{LinalgError, Matrix};
+use crate::Matrix;
 
 /// LU factorization with partial pivoting: `P A = L U`.
-///
-/// Used for general (not necessarily symmetric) systems such as the MNA matrices of
-/// the circuit simulator's DC solver, and as an independent cross-check of the
-/// Cholesky log-determinant.
-///
-/// # Example
-///
-/// ```
-/// use nnbo_linalg::{Lu, Matrix};
-///
-/// # fn main() -> Result<(), nnbo_linalg::LinalgError> {
-/// let a = Matrix::from_rows(&[vec![0.0, 2.0], vec![1.0, 1.0]]);
-/// let lu = Lu::decompose(&a)?;
-/// let x = lu.solve_vec(&[2.0, 2.0]);
-/// assert!((x[0] - 1.0).abs() < 1e-12 && (x[1] - 1.0).abs() < 1e-12);
-/// # Ok(())
-/// # }
-/// ```
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
-pub struct Lu {
+pub(crate) struct Lu {
     /// Combined storage: strictly-lower part holds L (unit diagonal implied), upper
     /// triangle holds U.
     lu: Matrix,
-    /// Row permutation applied to A.
-    perm: Vec<usize>,
-    /// Sign of the permutation (+1.0 or -1.0), used for the determinant.
+    /// Sign of the row permutation (+1.0 or -1.0), used for the determinant.
     perm_sign: f64,
 }
 
 impl Lu {
-    /// Computes the factorization of `a`.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`LinalgError::NotSquare`] for rectangular input and
-    /// [`LinalgError::Singular`] when no usable pivot exists in some column.
-    pub fn decompose(a: &Matrix) -> Result<Self, LinalgError> {
+    /// Computes the factorization of `a`, or `None` when `a` is rectangular or no
+    /// usable pivot exists in some column.
+    pub(crate) fn decompose(a: &Matrix) -> Option<Self> {
         if !a.is_square() {
-            return Err(LinalgError::NotSquare {
-                rows: a.nrows(),
-                cols: a.ncols(),
-            });
+            return None;
         }
         let n = a.nrows();
         let mut lu = a.clone();
-        let mut perm: Vec<usize> = (0..n).collect();
         let mut perm_sign = 1.0;
 
         for k in 0..n {
@@ -65,7 +35,7 @@ impl Lu {
                 }
             }
             if pivot_val < f64::EPSILON * 1e-2 || !pivot_val.is_finite() {
-                return Err(LinalgError::Singular { pivot: k });
+                return None;
             }
             if pivot_row != k {
                 for j in 0..n {
@@ -73,7 +43,6 @@ impl Lu {
                     lu[(k, j)] = lu[(pivot_row, j)];
                     lu[(pivot_row, j)] = tmp;
                 }
-                perm.swap(k, pivot_row);
                 perm_sign = -perm_sign;
             }
             let pivot = lu[(k, k)];
@@ -86,84 +55,21 @@ impl Lu {
                 }
             }
         }
-        Ok(Lu {
-            lu,
-            perm,
-            perm_sign,
-        })
-    }
-
-    /// Dimension of the factored matrix.
-    pub fn dim(&self) -> usize {
-        self.lu.nrows()
-    }
-
-    /// Solves `A x = b`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `b.len() != dim()`.
-    pub fn solve_vec(&self, b: &[f64]) -> Vec<f64> {
-        let n = self.dim();
-        assert_eq!(b.len(), n, "solve_vec dimension mismatch");
-        // Apply permutation, then forward then backward substitution.
-        let mut y = vec![0.0; n];
-        for i in 0..n {
-            let mut sum = b[self.perm[i]];
-            for k in 0..i {
-                sum -= self.lu[(i, k)] * y[k];
-            }
-            y[i] = sum;
-        }
-        let mut x = vec![0.0; n];
-        for i in (0..n).rev() {
-            let mut sum = y[i];
-            for k in (i + 1)..n {
-                sum -= self.lu[(i, k)] * x[k];
-            }
-            x[i] = sum / self.lu[(i, i)];
-        }
-        x
-    }
-
-    /// Solves `A X = B` column by column.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `B.nrows() != dim()`.
-    pub fn solve_matrix(&self, b: &Matrix) -> Matrix {
-        let n = self.dim();
-        assert_eq!(b.nrows(), n, "solve_matrix dimension mismatch");
-        let mut out = Matrix::zeros(n, b.ncols());
-        for j in 0..b.ncols() {
-            let x = self.solve_vec(&b.col(j));
-            for i in 0..n {
-                out[(i, j)] = x[i];
-            }
-        }
-        out
-    }
-
-    /// Explicit inverse (use sparingly; prefer the solves).
-    pub fn inverse(&self) -> Matrix {
-        self.solve_matrix(&Matrix::identity(self.dim()))
+        Some(Lu { lu, perm_sign })
     }
 
     /// Determinant of the factored matrix.
-    pub fn det(&self) -> f64 {
+    pub(crate) fn det(&self) -> f64 {
         let mut d = self.perm_sign;
-        for i in 0..self.dim() {
+        for i in 0..self.lu.nrows() {
             d *= self.lu[(i, i)];
         }
         d
     }
 
-    /// Natural log of the determinant.
-    ///
-    /// Returns `None` when the determinant is not strictly positive (the log is then
-    /// undefined over the reals), which callers such as the GP likelihood treat as a
-    /// failed evaluation.
-    pub fn log_det(&self) -> Option<f64> {
+    /// Natural log of the determinant, or `None` when the determinant is not
+    /// strictly positive (the log is then undefined over the reals).
+    pub(crate) fn log_det(&self) -> Option<f64> {
         let d = self.det();
         if d > 0.0 {
             Some(d.ln())
@@ -176,32 +82,6 @@ impl Lu {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn solves_general_system() {
-        let a = Matrix::from_rows(&[
-            vec![2.0, 1.0, -1.0],
-            vec![-3.0, -1.0, 2.0],
-            vec![-2.0, 1.0, 2.0],
-        ]);
-        let b = vec![8.0, -11.0, -3.0];
-        let lu = Lu::decompose(&a).unwrap();
-        let x = lu.solve_vec(&b);
-        // Known solution x = (2, 3, -1).
-        assert!((x[0] - 2.0).abs() < 1e-10);
-        assert!((x[1] - 3.0).abs() < 1e-10);
-        assert!((x[2] + 1.0).abs() < 1e-10);
-    }
-
-    #[test]
-    fn pivoting_handles_zero_leading_entry() {
-        let a = Matrix::from_rows(&[vec![0.0, 1.0], vec![1.0, 0.0]]);
-        let lu = Lu::decompose(&a).unwrap();
-        let x = lu.solve_vec(&[3.0, 5.0]);
-        assert!((x[0] - 5.0).abs() < 1e-12);
-        assert!((x[1] - 3.0).abs() < 1e-12);
-        assert!((lu.det() + 1.0).abs() < 1e-12);
-    }
 
     #[test]
     fn determinant_of_triangular_matrix() {
@@ -218,33 +98,13 @@ mod tests {
     #[test]
     fn singular_matrix_is_rejected() {
         let a = Matrix::from_rows(&[vec![1.0, 2.0], vec![2.0, 4.0]]);
-        assert!(matches!(
-            Lu::decompose(&a),
-            Err(LinalgError::Singular { .. })
-        ));
+        assert!(Lu::decompose(&a).is_none());
     }
 
     #[test]
     fn rectangular_matrix_is_rejected() {
         let a = Matrix::zeros(3, 2);
-        assert!(matches!(
-            Lu::decompose(&a),
-            Err(LinalgError::NotSquare { .. })
-        ));
-    }
-
-    #[test]
-    fn inverse_matches_identity() {
-        let a = Matrix::from_rows(&[vec![4.0, 7.0], vec![2.0, 6.0]]);
-        let lu = Lu::decompose(&a).unwrap();
-        let inv = lu.inverse();
-        let prod = a.matmul(&inv);
-        for i in 0..2 {
-            for j in 0..2 {
-                let expect = if i == j { 1.0 } else { 0.0 };
-                assert!((prod[(i, j)] - expect).abs() < 1e-10);
-            }
-        }
+        assert!(Lu::decompose(&a).is_none());
     }
 
     #[test]

@@ -1,6 +1,6 @@
 //! Property-based tests for the linear-algebra substrate.
 
-use nnbo_linalg::{dot, squared_distance, Cholesky, Lu, Matrix, Standardizer};
+use nnbo_linalg::{dot, squared_distance, Cholesky, Matrix, Standardizer};
 use proptest::prelude::*;
 
 /// Strategy: a random square matrix of dimension 1..=6 with entries in [-5, 5].
@@ -206,30 +206,6 @@ proptest! {
             for j in 0..n {
                 prop_assert_eq!(sym[(i, j)], sym[(j, i)]);
             }
-        }
-    }
-
-    #[test]
-    fn cholesky_and_lu_logdet_agree(b in square_matrix(5)) {
-        let a = make_spd(&b);
-        let chol = Cholesky::decompose(&a).unwrap();
-        let lu = Lu::decompose(&a).unwrap();
-        let ld_lu = lu.log_det().unwrap();
-        prop_assert!((chol.log_det() - ld_lu).abs() < 1e-7 * (1.0 + ld_lu.abs()));
-    }
-
-    #[test]
-    fn lu_solve_residual_is_small(m in square_matrix(5)) {
-        // Make the system comfortably non-singular by boosting the diagonal.
-        let mut a = m.clone();
-        a.add_diag(12.0);
-        let n = a.nrows();
-        let rhs: Vec<f64> = (0..n).map(|i| (i as f64) - 1.5).collect();
-        let lu = Lu::decompose(&a).unwrap();
-        let x = lu.solve_vec(&rhs);
-        let r = a.matvec(&x);
-        for (ri, bi) in r.iter().zip(rhs.iter()) {
-            prop_assert!((ri - bi).abs() < 1e-7);
         }
     }
 

@@ -27,6 +27,7 @@
 //! assert_eq!(features.len(), 8);
 //! ```
 
+#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 mod activation;

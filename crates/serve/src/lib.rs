@@ -75,6 +75,7 @@
 //! # let _ = std::fs::remove_dir_all(&dir);
 //! ```
 
+#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 mod error;
