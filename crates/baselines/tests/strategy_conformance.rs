@@ -4,7 +4,7 @@
 //! honour the same contract, whatever it does internally:
 //!
 //! * seeded runs are bit-identical, under **both** kernel dispatch paths
-//!   (vectorised and `NNBO_PORTABLE_KERNELS=1` portable);
+//!   (vectorised, and portable inside `nnbo_linalg::with_portable_kernels`);
 //! * every suggested point lies inside the unit cube and every recorded
 //!   value is finite;
 //! * an imputed stand-in for a failed evaluation is never reported as the
@@ -17,7 +17,6 @@
 //! whole contract applies to it.
 
 use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::Mutex;
 
 use nnbo_baselines::{Gaspad, GaspadConfig, GaspadSnapshot, GpSurrogateTrainer};
 use nnbo_core::problems::ConstrainedBranin;
@@ -25,20 +24,6 @@ use nnbo_core::{
     BayesOpt, BoConfig, BoSnapshot, EvalOutcome, Evaluation, FailureAction, FailurePolicy,
     OptimizationResult, Problem, SuggestStrategy,
 };
-
-/// Serialises the test that flips the process-wide kernel dispatch override
-/// with every test that compares two runs: a run overlapping a flip would
-/// mix two kernel tiers, whose results differ in the last bits.
-static DISPATCH_LOCK: Mutex<()> = Mutex::new(());
-
-/// Restores the vectorised dispatch default even when a test panics.
-struct DispatchGuard;
-
-impl Drop for DispatchGuard {
-    fn drop(&mut self) {
-        nnbo_linalg::force_portable_kernels(false);
-    }
-}
 
 /// Every strategy under the conformance contract.
 const STRATEGIES: [&str; 3] = ["weibo", "lineasybo", "gaspad"];
@@ -81,22 +66,26 @@ fn run_strategy(name: &str, seed: u64) -> OptimizationResult {
 
 #[test]
 fn every_strategy_is_seeded_deterministic_under_both_dispatch_paths() {
-    let _lock = DISPATCH_LOCK.lock().unwrap_or_else(|p| p.into_inner());
-    let _guard = DispatchGuard;
     for forced in [false, true] {
-        nnbo_linalg::force_portable_kernels(forced);
+        let check = || {
+            if forced {
+                assert_eq!(nnbo_linalg::kernel_isa(), "portable");
+            }
+            for name in STRATEGIES {
+                let a = run_strategy(name, 17);
+                let b = run_strategy(name, 17);
+                assert_eq!(
+                    a.evaluations(),
+                    b.evaluations(),
+                    "{name} (portable={forced}): same seed must give the same run"
+                );
+                assert_eq!(a.recovery(), b.recovery(), "{name} (portable={forced})");
+            }
+        };
         if forced {
-            assert_eq!(nnbo_linalg::kernel_isa(), "portable");
-        }
-        for name in STRATEGIES {
-            let a = run_strategy(name, 17);
-            let b = run_strategy(name, 17);
-            assert_eq!(
-                a.evaluations(),
-                b.evaluations(),
-                "{name} (portable={forced}): same seed must give the same run"
-            );
-            assert_eq!(a.recovery(), b.recovery(), "{name} (portable={forced})");
+            nnbo_linalg::with_portable_kernels(check);
+        } else {
+            check();
         }
     }
 }
@@ -123,7 +112,6 @@ fn every_strategy_stays_inside_the_unit_cube_with_finite_values() {
 /// share the seeded initial design exactly, then genuinely search differently.
 #[test]
 fn the_strategy_seam_only_changes_the_model_guided_phase() {
-    let _lock = DISPATCH_LOCK.lock().unwrap_or_else(|p| p.into_inner());
     let problem = ConstrainedBranin::new();
     let full = weibo_fast(bo_config(29)).run(&problem).unwrap();
     let line = lineasybo_fast(bo_config(29)).run(&problem).unwrap();
@@ -222,7 +210,6 @@ fn imputed_points_are_never_reported_as_the_optimum() {
 /// uninterrupted run, for every strategy, using its own snapshot format.
 #[test]
 fn mid_run_snapshots_resume_bit_identically_for_every_strategy() {
-    let _lock = DISPATCH_LOCK.lock().unwrap_or_else(|p| p.into_inner());
     let problem = ConstrainedBranin::new();
 
     // WEIBO and LinEasyBO share the BoSnapshot path.

@@ -6,9 +6,8 @@
 //! reproduce [--quick] table1           # Table I  (two-stage op-amp) → BENCH_table1.json
 //! reproduce [--quick] table2           # Table II (charge pump) + D=20 high-dim study → BENCH_table2.json
 //! reproduce [--quick] scaling          # §III.D complexity scaling + subspace acquisition study → BENCH_scaling.json
-//! reproduce [--quick] linalg           # kernel old-vs-new benchmark → BENCH_linalg.json
+//! reproduce [--quick] linalg           # kernel and prediction old-vs-new, SIMD-vs-portable → BENCH_linalg.json
 //! reproduce [--quick] fit              # fit-path old-vs-new benchmark → BENCH_fit.json
-//! reproduce [--quick] predict          # packed-vs-blocked batched prediction → BENCH_predict.json
 //! reproduce [--quick] pvt              # parallel-vs-sequential PVT corner-sweep throughput → BENCH_pvt.json
 //! reproduce [--quick] robustness       # fault-tolerance: overhead + recovery → BENCH_robustness.json
 //! reproduce [--quick] serve            # multi-session serving layer: throughput, recovery, shedding → BENCH_serve.json
@@ -25,12 +24,11 @@
 #![forbid(unsafe_code)]
 
 use nnbo_bench::{
-    format_fit_json, format_fit_table, format_linalg_json, format_linalg_table,
-    format_predict_json, format_predict_table, format_pvt_json, format_pvt_table,
-    format_robustness_json, format_robustness_table, format_scaling_json, format_serve_json,
-    format_serve_table, format_table1, format_table1_json, format_table2, format_table2_highdim,
-    format_table2_json, run_ablation_acquisition, run_ablation_ensemble, run_fit_bench,
-    run_linalg_bench, run_predict_bench, run_pvt_bench, run_robustness_bench, run_scaling,
+    format_fit_json, format_fit_table, format_linalg_json, format_linalg_table, format_pvt_json,
+    format_pvt_table, format_robustness_json, format_robustness_table, format_scaling_json,
+    format_serve_json, format_serve_table, format_table1, format_table1_json, format_table2,
+    format_table2_highdim, format_table2_json, run_ablation_acquisition, run_ablation_ensemble,
+    run_fit_bench, run_linalg_bench, run_pvt_bench, run_robustness_bench, run_scaling,
     run_serve_bench, run_subspace_scaling, run_table1, run_table2, run_table2_highdim, BenchError,
     Protocol, SubspaceProtocol,
 };
@@ -46,7 +44,6 @@ const EXPERIMENTS: &[(&str, Experiment)] = &[
     ("scaling", scaling),
     ("linalg", linalg),
     ("fit", fit),
-    ("predict", predict),
     ("pvt", pvt),
     ("robustness", robustness),
     ("serve", serve),
@@ -224,7 +221,7 @@ fn scaling(quick: bool) -> Result<(), BenchError> {
 }
 
 fn linalg(quick: bool) -> Result<(), BenchError> {
-    println!("# Prediction-path benchmark — reference vs blocked/batched/incremental\n");
+    println!("# Hot-path benchmark — reference vs blocked/batched/incremental, SIMD vs portable\n");
     let entries = run_linalg_bench(quick)?;
     print!("{}", format_linalg_table(&entries));
     println!();
@@ -239,18 +236,6 @@ fn fit(quick: bool) -> Result<(), BenchError> {
     print!("{}", format_fit_table(&entries));
     println!();
     write_json("BENCH_fit.json", &format_fit_json(&entries, quick))?;
-    println!();
-    Ok(())
-}
-
-fn predict(quick: bool) -> Result<(), BenchError> {
-    println!(
-        "# Batched-prediction benchmark — packed (AVX2+FMA + fused exp) vs portable kernels\n"
-    );
-    let entries = run_predict_bench(quick)?;
-    print!("{}", format_predict_table(&entries));
-    println!();
-    write_json("BENCH_predict.json", &format_predict_json(&entries, quick))?;
     println!();
     Ok(())
 }

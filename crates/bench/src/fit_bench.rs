@@ -516,9 +516,6 @@ mod tests {
 
     #[test]
     fn quick_bench_produces_all_workloads_and_valid_json() {
-        let _guard = crate::TEST_DISPATCH_LOCK
-            .lock()
-            .unwrap_or_else(|p| p.into_inner());
         let entries = run_fit_bench(true).expect("quick fit bench runs");
         let names: Vec<&str> = entries.iter().map(|e| e.name).collect();
         for expected in [

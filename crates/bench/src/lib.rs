@@ -9,15 +9,6 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-/// Serialises the library unit tests that toggle the process-global kernel
-/// dispatch ([`nnbo_linalg::force_portable_kernels`]) *and* the numeric
-/// tests a mid-run flip would perturb (surrogate fits, lifecycle runs, BO
-/// trajectories): the default test harness runs them on concurrent threads,
-/// and a dispatch flip landing mid-factorization would mix packed and
-/// portable kernels nondeterministically.
-#[cfg(test)]
-pub(crate) static TEST_DISPATCH_LOCK: std::sync::Mutex<()> = std::sync::Mutex::new(());
-
 /// Boxed error used by every fallible harness entry point: surrogate fits,
 /// BO runs and service orchestration all propagate up to the `reproduce`
 /// binary, which reports the failure and exits nonzero instead of panicking
@@ -27,7 +18,6 @@ pub type BenchError = Box<dyn std::error::Error + Send + Sync>;
 mod fit_bench;
 mod json;
 mod linalg_bench;
-mod predict_bench;
 mod protocol;
 mod pvt_bench;
 mod robustness_bench;
@@ -42,7 +32,6 @@ pub use fit_bench::{
 pub use linalg_bench::{
     format_linalg_json, format_linalg_table, run_linalg_bench, LinalgBenchEntry,
 };
-pub use predict_bench::{format_predict_json, format_predict_table, run_predict_bench};
 pub use protocol::{Algorithm, Protocol};
 pub use pvt_bench::{format_pvt_json, format_pvt_table, run_pvt_bench, PvtBenchEntry};
 pub use robustness_bench::{

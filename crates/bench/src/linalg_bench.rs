@@ -1,27 +1,38 @@
 //! Old-vs-new timings of the surrogate hot path, emitted as
 //! `BENCH_linalg.json` so later PRs can track the performance trajectory.
 //!
-//! Every entry compares the pre-existing reference implementation (scalar
-//! loops, per-point predictions, from-scratch refactorizations) against the
-//! blocked / batched / incremental path that replaced it on the same inputs:
+//! Every entry compares a baseline against the path that replaced it on the
+//! same inputs.  Rows named `*_kernel` compare the portable blocked-scalar
+//! kernels (forced with [`nnbo_linalg::with_portable_kernels`]) against the
+//! SIMD tier the machine dispatches; on machines without AVX2 both sides run
+//! the portable path and the speedup reads ≈ 1 — the document's `isa`
+//! header says which case applies.  The other rows compare a reference
+//! implementation (scalar loops, per-point predictions, from-scratch
+//! refactorizations) against its replacement on the same dispatch:
 //!
 //! * `matmul`, `matmul_transpose`, `cholesky` — blocked + threaded kernels vs
 //!   the naive loops, at N ∈ {64, 256, 1024}.
-//! * `matmul_kernel`, `syrk`, `symmetric_inverse` — the packed-panel
-//!   AVX2+FMA micro-kernels vs the portable blocked-scalar kernels on the
-//!   same shapes (forced through [`nnbo_linalg::force_portable_kernels`]),
-//!   at N ∈ {256, 512, 1024}.  On machines without AVX2 both sides run the
-//!   portable path and the speedup reads ≈ 1 — the document's `isa` header
-//!   says which case applies.
+//! * `matmul_kernel`, `syrk`, `symmetric_inverse_kernel` — SIMD vs portable
+//!   on the same shapes, at N ∈ {256, 512, 1024}; `symmetric_inverse` — the
+//!   dpotri-style inverse vs the dense-sweep inverse.
 //! * `cholesky_append` — rank-1 bordered update vs full refactorization when
 //!   one row/column is appended at N = 512.
 //! * `gp_predict_batch` / `neural_predict_batch` — one batched prediction of
 //!   512 candidates vs 512 per-point `predict` calls at 256 training points.
+//! * `gp_predict_batch_into` — the allocating
+//!   [`nnbo_gp::GpModel::predict_batch`] vs the buffer-reusing
+//!   [`nnbo_gp::GpModel::predict_batch_into`] in steady state (what the
+//!   acquisition scoring loop runs).
+//! * `gp_cross_kernel`, `gp_predict_batch_kernel`,
+//!   `neural_predict_batch_kernel` — SIMD vs portable for the same 512
+//!   candidates: the cross-covariance block `K(Q, X)` alone (a GEMM over
+//!   the scaled rows plus the fused [`nnbo_linalg::sq_exp_apply`] pass) and
+//!   the two batched predictions.
 
 use std::time::Instant;
 
 use nnbo_core::{NeuralGp, NeuralGpConfig, SurrogateModel};
-use nnbo_gp::{GpConfig, GpModel};
+use nnbo_gp::{ArdSquaredExponential, CrossScratch, GpConfig, GpModel, GpPredictScratch};
 use nnbo_linalg::{Cholesky, Matrix};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -50,8 +61,7 @@ impl LinalgBenchEntry {
     }
 }
 
-/// The row of `BENCH_linalg.json` and `BENCH_predict.json`: the fields plus
-/// the derived `speedup`.
+/// The row of `BENCH_linalg.json`: the fields plus the derived `speedup`.
 impl Serialize for LinalgBenchEntry {
     fn to_value(&self) -> Value {
         json::row(&[
@@ -67,7 +77,7 @@ impl Serialize for LinalgBenchEntry {
 /// Times `f`, returning the best (minimum) wall-clock nanoseconds over `reps`
 /// repetitions.  The minimum is the standard choice for micro-benchmarks: it
 /// is the least noisy estimator of the true cost of the work itself.
-/// Shared with the prediction-path benchmark (`predict_bench`).
+/// Shared with the corner-sweep benchmark (`pvt_bench`).
 pub(crate) fn time_best<F: FnMut()>(reps: usize, mut f: F) -> f64 {
     let mut best = f64::INFINITY;
     for _ in 0..reps.max(1) {
@@ -169,27 +179,31 @@ pub fn run_linalg_bench(quick: bool) -> Result<Vec<LinalgBenchEntry>, BenchError
     }
 
     // Micro-kernel vs blocked-scalar: the same public entry points with the
-    // dispatch forced portable (baseline) and automatic (optimized).
+    // portable kernels forced (baseline) and on the automatic dispatch
+    // (optimized).
     let kernel_sizes: &[usize] = if quick { &[64, 128] } else { &[256, 512, 1024] };
     for &n in kernel_sizes {
         let a = random_matrix(n, n, &mut rng);
         let b = random_matrix(n, n, &mut rng);
-        nnbo_linalg::force_portable_kernels(true);
-        let portable_matmul = time_best(reps(n), || {
-            std::hint::black_box(a.matmul(&b));
-        });
-        let portable_syrk = time_best(reps(n), || {
-            std::hint::black_box(a.transpose_matmul_self());
-        });
         let spd = random_spd(n, &mut rng);
         let chol = Cholesky::decompose(&spd)?;
         let mut inv = nnbo_linalg::Matrix::zeros(n, n);
         let mut work = nnbo_linalg::Matrix::zeros(n, n);
-        let portable_syminv = time_best(reps(n), || {
-            chol.symmetric_inverse_into(&mut inv, &mut work);
-            std::hint::black_box(&inv);
-        });
-        nnbo_linalg::force_portable_kernels(false);
+        let (portable_matmul, portable_syrk, portable_syminv) =
+            nnbo_linalg::with_portable_kernels(|| {
+                (
+                    time_best(reps(n), || {
+                        std::hint::black_box(a.matmul(&b));
+                    }),
+                    time_best(reps(n), || {
+                        std::hint::black_box(a.transpose_matmul_self());
+                    }),
+                    time_best(reps(n), || {
+                        chol.symmetric_inverse_into(&mut inv, &mut work);
+                        std::hint::black_box(&inv);
+                    }),
+                )
+            });
         let auto_matmul = time_best(reps(n), || {
             std::hint::black_box(a.matmul(&b));
         });
@@ -278,19 +292,22 @@ pub fn run_linalg_bench(quick: bool) -> Result<Vec<LinalgBenchEntry>, BenchError
         max_iters: 10,
         ..GpConfig::default()
     };
+    let predict_reps = if quick { 3 } else { 5 };
     let mut fit_rng = StdRng::seed_from_u64(3);
     let gp = GpModel::fit(&xs, &ys, &gp_config, &mut fit_rng)?;
+    let gp_per_point = time_best(predict_reps, || {
+        for q in &queries {
+            std::hint::black_box(gp.predict(q));
+        }
+    });
+    let gp_batch = time_best(predict_reps, || {
+        std::hint::black_box(gp.predict_batch(&queries));
+    });
     entries.push(LinalgBenchEntry {
         name: "gp_predict_batch",
         n: train_n,
-        baseline_ns: time_best(if quick { 3 } else { 5 }, || {
-            for q in &queries {
-                std::hint::black_box(gp.predict(q));
-            }
-        }),
-        optimized_ns: time_best(if quick { 3 } else { 5 }, || {
-            std::hint::black_box(gp.predict_batch(&queries));
-        }),
+        baseline_ns: gp_per_point,
+        optimized_ns: gp_batch,
     });
 
     // Batched candidate scoring vs per-point prediction, neural GP.
@@ -300,17 +317,77 @@ pub fn run_linalg_bench(quick: bool) -> Result<Vec<LinalgBenchEntry>, BenchError
     };
     let mut fit_rng = StdRng::seed_from_u64(4);
     let neural = NeuralGp::fit(&xs, &ys, &nn_config, &mut fit_rng)?;
+    let neural_per_point = time_best(predict_reps, || {
+        for q in &queries {
+            std::hint::black_box(neural.predict(q));
+        }
+    });
+    let neural_batch = time_best(predict_reps, || {
+        std::hint::black_box(neural.predict_batch(&queries));
+    });
     entries.push(LinalgBenchEntry {
         name: "neural_predict_batch",
         n: train_n,
-        baseline_ns: time_best(if quick { 3 } else { 5 }, || {
-            for q in &queries {
-                std::hint::black_box(neural.predict(q));
-            }
+        baseline_ns: neural_per_point,
+        optimized_ns: neural_batch,
+    });
+
+    // Allocating vs buffer-reusing batched GP prediction (same dispatch).
+    let mut out = Vec::new();
+    let mut scratch = GpPredictScratch::new();
+    gp.predict_batch_into(&queries, &mut out, &mut scratch); // grow buffers
+    entries.push(LinalgBenchEntry {
+        name: "gp_predict_batch_into",
+        n: train_n,
+        baseline_ns: gp_batch,
+        optimized_ns: time_best(predict_reps, || {
+            gp.predict_batch_into(&queries, &mut out, &mut scratch);
+            std::hint::black_box(&out);
         }),
-        optimized_ns: time_best(if quick { 3 } else { 5 }, || {
-            std::hint::black_box(neural.predict_batch(&queries));
-        }),
+    });
+
+    // The same predictions on the portable kernels against the SIMD tier:
+    // the fitted GP's cross-covariance block alone, then both batched
+    // predictions, whose SIMD timings are the batch rows above.
+    let hyper = gp.hyper_params();
+    let kernel = ArdSquaredExponential::new(hyper.signal_variance(), hyper.lengthscales());
+    let x_mat = Matrix::from_rows(&xs);
+    let q_mat = Matrix::from_rows(&queries);
+    let prepared = kernel.prepare(&x_mat);
+    let mut cross_out = Matrix::zeros(0, 0);
+    let mut cross_scratch = CrossScratch::new();
+    let mut cross = || {
+        kernel.cross_with_into(&q_mat, &prepared, &mut cross_out, &mut cross_scratch);
+        std::hint::black_box(&cross_out);
+    };
+    let (portable_cross, portable_gp, portable_neural) = nnbo_linalg::with_portable_kernels(|| {
+        (
+            time_best(predict_reps, &mut cross),
+            time_best(predict_reps, || {
+                std::hint::black_box(gp.predict_batch(&queries));
+            }),
+            time_best(predict_reps, || {
+                std::hint::black_box(neural.predict_batch(&queries));
+            }),
+        )
+    });
+    entries.push(LinalgBenchEntry {
+        name: "gp_cross_kernel",
+        n: train_n,
+        baseline_ns: portable_cross,
+        optimized_ns: time_best(predict_reps, cross),
+    });
+    entries.push(LinalgBenchEntry {
+        name: "gp_predict_batch_kernel",
+        n: train_n,
+        baseline_ns: portable_gp,
+        optimized_ns: gp_batch,
+    });
+    entries.push(LinalgBenchEntry {
+        name: "neural_predict_batch_kernel",
+        n: train_n,
+        baseline_ns: portable_neural,
+        optimized_ns: neural_batch,
     });
 
     Ok(entries)
@@ -330,12 +407,12 @@ pub fn format_linalg_json(entries: &[LinalgBenchEntry], quick: bool) -> String {
 /// Renders a human-readable table of the same entries for stdout.
 pub fn format_linalg_table(entries: &[LinalgBenchEntry]) -> String {
     let mut out = format!(
-        "{:<22} {:>6} {:>16} {:>16} {:>9}\n",
+        "{:<28} {:>6} {:>16} {:>16} {:>9}\n",
         "workload", "N", "baseline (ms)", "optimized (ms)", "speedup"
     );
     for e in entries {
         out.push_str(&format!(
-            "{:<22} {:>6} {:>16.3} {:>16.3} {:>8.1}x\n",
+            "{:<28} {:>6} {:>16.3} {:>16.3} {:>8.1}x\n",
             e.name,
             e.n,
             e.baseline_ns / 1e6,
@@ -352,9 +429,6 @@ mod tests {
 
     #[test]
     fn quick_bench_produces_all_workloads_and_valid_json() {
-        let _guard = crate::TEST_DISPATCH_LOCK
-            .lock()
-            .unwrap_or_else(|p| p.into_inner());
         let entries = run_linalg_bench(true).expect("quick linalg bench runs");
         let names: Vec<&str> = entries.iter().map(|e| e.name).collect();
         for expected in [
@@ -368,6 +442,10 @@ mod tests {
             "cholesky_append",
             "gp_predict_batch",
             "neural_predict_batch",
+            "gp_predict_batch_into",
+            "gp_cross_kernel",
+            "gp_predict_batch_kernel",
+            "neural_predict_batch_kernel",
         ] {
             assert!(names.contains(&expected), "missing workload {expected}");
         }

@@ -209,9 +209,6 @@ mod tests {
 
     #[test]
     fn quick_bench_pins_bit_identity_and_emits_valid_json() {
-        let _guard = crate::TEST_DISPATCH_LOCK
-            .lock()
-            .unwrap_or_else(|p| p.into_inner());
         let entries = run_pvt_bench(true).expect("quick pvt bench runs");
         let names: Vec<&str> = entries.iter().map(|e| e.name).collect();
         for expected in [

@@ -499,9 +499,6 @@ mod tests {
 
     #[test]
     fn quick_report_is_consistent_and_serialises() {
-        let _guard = crate::TEST_DISPATCH_LOCK
-            .lock()
-            .unwrap_or_else(|p| p.into_inner());
         let r = run_robustness_bench(true).expect("quick robustness bench runs");
         assert_eq!(r.clean_total_events, 0, "clean run must be clean");
         assert!(r.clean_path_overhead_pct.is_finite());

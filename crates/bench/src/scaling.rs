@@ -280,9 +280,6 @@ mod tests {
 
     #[test]
     fn subspace_scaling_reports_both_strategies_at_every_dimension() {
-        let _guard = crate::TEST_DISPATCH_LOCK
-            .lock()
-            .unwrap_or_else(|p| p.into_inner());
         let protocol = SubspaceProtocol {
             dims: &[4],
             runs: 1,
@@ -309,9 +306,6 @@ mod tests {
 
     #[test]
     fn scaling_runs_and_reports_every_size() {
-        let _guard = crate::TEST_DISPATCH_LOCK
-            .lock()
-            .unwrap_or_else(|p| p.into_inner());
         let points = run_scaling(&[20, 40], 20).expect("scaling study runs");
         assert_eq!(points.len(), 2);
         for p in &points {

@@ -480,9 +480,6 @@ mod tests {
 
     #[test]
     fn quick_serve_bench_is_consistent_and_serialises() {
-        let _guard = crate::TEST_DISPATCH_LOCK
-            .lock()
-            .unwrap_or_else(|p| p.into_inner());
         let r = run_serve_bench(true).expect("quick serve bench runs");
         assert!(r.throughput_bit_identical, "served histories must match");
         assert!(r.recovery_bit_identical, "recovered histories must match");

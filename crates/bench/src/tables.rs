@@ -507,9 +507,6 @@ mod tests {
 
     #[test]
     fn every_algorithm_runs_on_the_opamp_problem() {
-        let _guard = crate::TEST_DISPATCH_LOCK
-            .lock()
-            .unwrap_or_else(|p| p.into_inner());
         let protocol = tiny_protocol();
         let problem = OpAmpProblem::new();
         for algorithm in Algorithm::all() {
@@ -520,9 +517,6 @@ mod tests {
 
     #[test]
     fn table_formatting_contains_all_algorithms() {
-        let _guard = crate::TEST_DISPATCH_LOCK
-            .lock()
-            .unwrap_or_else(|p| p.into_inner());
         let rows = vec![Table1Row {
             algorithm: "Ours".into(),
             ugf_mhz: 40.0,
@@ -634,9 +628,6 @@ mod tests {
 
     #[test]
     fn highdim_study_runs_both_strategies_on_the_weighted_sphere() {
-        let _guard = crate::TEST_DISPATCH_LOCK
-            .lock()
-            .unwrap_or_else(|p| p.into_inner());
         let rows = run_table2_highdim(&tiny_protocol()).expect("highdim study runs");
         assert_eq!(rows.len(), 2);
         assert_eq!(rows[0].algorithm, "WEIBO");

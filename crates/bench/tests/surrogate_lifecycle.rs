@@ -4,10 +4,10 @@
 //! `exp` prediction kernel, and the portable scalar fallback), so future
 //! kernel or policy work cannot silently change BO behaviour.
 //!
-//! The tests live in their own integration-test binary because
-//! [`nnbo_linalg::force_portable_kernels`] is a process-global switch; a
-//! mutex serialises every test that touches it.  The "golden" contract is
-//! three-fold:
+//! The portable path is forced for one closure at a time with
+//! [`nnbo_linalg::with_portable_kernels`], which reaches the pool tasks the
+//! closure submits and no other thread, so the tests run concurrently.  The
+//! "golden" contract is three-fold:
 //!
 //! 1. **Determinism** — a seeded run reproduces its entire evaluation
 //!    trajectory bit for bit on whichever path is active, and the two paths
@@ -20,36 +20,12 @@
 //!    likelihood stays within a tight band of the always-refit one
 //!    (`run_refit_lifecycle`, the same decision rule the loop applies).
 
-use std::sync::Mutex;
-
 use nnbo_baselines::GpSurrogateTrainer;
 use nnbo_bench::run_refit_lifecycle;
 use nnbo_core::problems::ConstrainedBranin;
 use nnbo_core::{BayesOpt, BoConfig, OptimizationResult, RefitPolicy};
 use nnbo_gp::GpConfig;
-use nnbo_linalg::force_portable_kernels;
-
-static DISPATCH_LOCK: Mutex<()> = Mutex::new(());
-
-fn serial() -> std::sync::MutexGuard<'static, ()> {
-    DISPATCH_LOCK
-        .lock()
-        .unwrap_or_else(|poisoned| poisoned.into_inner())
-}
-
-/// Runs `f` with the portable kernels forced, restoring the automatic
-/// dispatch afterwards (also on panic).
-fn with_portable<T>(f: impl FnOnce() -> T) -> T {
-    struct Restore;
-    impl Drop for Restore {
-        fn drop(&mut self) {
-            force_portable_kernels(false);
-        }
-    }
-    let _restore = Restore;
-    force_portable_kernels(true);
-    f()
-}
+use nnbo_linalg::with_portable_kernels;
 
 fn weibo_run(seed: u64, budget: usize, policy: RefitPolicy) -> OptimizationResult {
     BayesOpt::with_trainer(
@@ -81,7 +57,6 @@ fn assert_run_invariants(result: &OptimizationResult, budget: usize, best_bound:
 
 #[test]
 fn seeded_runs_are_golden_deterministic_on_both_dispatch_paths() {
-    let _guard = serial();
     let budget = 16;
     let run = || weibo_run(33, budget, RefitPolicy::Fixed(1));
     let packed_a = run();
@@ -94,7 +69,7 @@ fn seeded_runs_are_golden_deterministic_on_both_dispatch_paths() {
     assert_eq!(packed_a.full_refits(), packed_b.full_refits());
     assert_run_invariants(&packed_a, budget, 6.0);
 
-    let (portable_a, portable_b) = with_portable(|| (run(), run()));
+    let (portable_a, portable_b) = with_portable_kernels(|| (run(), run()));
     assert_eq!(
         portable_a.evaluations(),
         portable_b.evaluations(),
@@ -114,7 +89,6 @@ fn seeded_runs_are_golden_deterministic_on_both_dispatch_paths() {
 
 #[test]
 fn zero_threshold_drift_reproduces_always_refit_on_both_dispatch_paths() {
-    let _guard = serial();
     let budget = 14;
     let zero_drift = RefitPolicy::NllDrift {
         threshold: 0.0,
@@ -132,12 +106,11 @@ fn zero_threshold_drift_reproduces_always_refit_on_both_dispatch_paths() {
         assert_eq!(always.full_refits(), drift.full_refits());
     };
     check();
-    with_portable(check);
+    with_portable_kernels(check);
 }
 
 #[test]
 fn drift_policy_saves_full_refits_at_matched_final_quality() {
-    let _guard = serial();
     // The exact decision rule the loop applies, driven over a growing
     // observation stream long enough for the policies to diverge.
     let (xs, targets) = nnbo_bench::fit_dataset(72, 6, 17);
@@ -179,12 +152,11 @@ fn drift_policy_saves_full_refits_at_matched_final_quality() {
         );
     };
     check();
-    with_portable(check);
+    with_portable_kernels(check);
 }
 
 #[test]
 fn neural_loop_runs_the_drift_policy_end_to_end_on_the_active_path() {
-    let _guard = serial();
     // The paper's own surrogate (neural-GP ensemble) through the same
     // lifecycle: suggest → append (rank-1, NLL refreshed) → drift check →
     // warm refit, on whichever kernel path the machine dispatches.

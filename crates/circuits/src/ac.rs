@@ -300,63 +300,46 @@ impl AcAnalysis {
         AcAnalysis { sweep }
     }
 
-    /// Runs the sweep, returning `(frequency, transfer function)` pairs.  Frequencies
-    /// where the system is singular are skipped.
-    pub fn run(&self, circuit: &SmallSignalCircuit) -> Vec<(f64, Complex)> {
-        self.sweep
-            .frequencies()
-            .into_iter()
-            .filter_map(|f| {
-                let omega = 2.0 * std::f64::consts::PI * f;
-                circuit.transfer_function(omega).map(|h| (f, h))
-            })
-            .collect()
-    }
-
-    /// Runs the sweep and extracts gain / UGF / phase margin.
+    /// Sweeps up to the first unity-gain crossing and extracts gain / UGF /
+    /// phase margin.  Frequencies where the system is singular are skipped,
+    /// and no frequency past the crossing is solved.
     ///
     /// Returns `None` when the sweep produced no valid points.
     pub fn bode_metrics(&self, circuit: &SmallSignalCircuit) -> Option<BodeMetrics> {
-        let response = self.run(circuit);
-        if response.is_empty() {
-            return None;
-        }
-        let dc_gain = response[0].1.abs();
-        let dc_gain_db = 20.0 * dc_gain.max(1e-30).log10();
+        let mut response = self.sweep.frequencies().into_iter().filter_map(|f| {
+            let omega = 2.0 * std::f64::consts::PI * f;
+            circuit.transfer_function(omega).map(|h| (f, h))
+        });
+        let (mut f1, mut h1) = response.next()?;
+        let dc_gain_db = 20.0 * h1.abs().max(1e-30).log10();
 
         // Find the unity-gain crossing by scanning for |H| dropping below 1, carrying
         // an unwrapped phase along the sweep so that phase excursions past ±180° do
         // not corrupt the phase-margin estimate.
-        let mut ugf = 0.0;
-        let mut phase_at_ugf = response[0].1.arg();
-        let mut crossed = false;
-        let mut prev_phase = response[0].1.arg();
-        for w in response.windows(2) {
-            let (f1, h1) = w[0];
-            let (f2, h2) = w[1];
+        let mut prev_phase = h1.arg();
+        for (f2, h2) in response {
             let (m1, m2) = (h1.abs(), h2.abs());
             let p1 = unwrap_phase(h1.arg(), prev_phase);
             let p2 = unwrap_phase(h2.arg(), p1);
             prev_phase = p1;
-            if m1 >= 1.0 && m2 < 1.0 && !crossed {
+            if m1 >= 1.0 && m2 < 1.0 {
                 // Log-log interpolation of the crossing frequency.
-                let t = (m1.ln() - 0.0) / (m1.ln() - m2.ln());
-                ugf = f1 * (f2 / f1).powf(t);
-                phase_at_ugf = p1 + (p2 - p1) * t;
-                crossed = true;
-                break;
+                let t = m1.ln() / (m1.ln() - m2.ln());
+                let phase_at_ugf = p1 + (p2 - p1) * t;
+                return Some(BodeMetrics {
+                    dc_gain_db,
+                    unity_gain_freq_hz: f1 * (f2 / f1).powf(t),
+                    phase_margin_deg: 180.0 + phase_at_ugf.to_degrees(),
+                    crossed_unity: true,
+                });
             }
+            (f1, h1) = (f2, h2);
         }
-        let phase_margin_deg = if crossed {
-            180.0 + phase_at_ugf.to_degrees()
-        } else {
-            180.0
-        };
         Some(BodeMetrics {
             dc_gain_db,
-            unity_gain_freq_hz: ugf,
-            phase_margin_deg,
-            crossed_unity: crossed,
+            unity_gain_freq_hz: 0.0,
+            phase_margin_deg: 180.0,
+            crossed_unity: false,
         })
     }
 }

@@ -83,8 +83,8 @@
 //! (and, one level down, [`ArdSquaredExponential::cross_with_into`] with a
 //! [`CrossScratch`]) — so once the buffers have grown to the candidate-pool
 //! size, an acquisition scoring round performs no allocation in the GP
-//! prediction path.  `reproduce predict` measures the packed-vs-portable
-//! and allocating-vs-`_into` contrasts (`BENCH_predict.json`).
+//! prediction path.  `reproduce linalg` measures the SIMD-vs-portable and
+//! allocating-vs-`_into` contrasts (`BENCH_linalg.json`).
 //!
 //! # When refits happen
 //!

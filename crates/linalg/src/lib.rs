@@ -15,9 +15,9 @@
 //!
 //! 1. **`"portable"`: blocked scalar kernels** (`kernels` module) —
 //!    cache-blocked, 4-wide-unrolled scalar loops that run on any
-//!    architecture.  The dispatch selects them when the CPU lacks AVX2/FMA
-//!    or when `NNBO_PORTABLE_KERNELS=1` / [`force_portable_kernels`] forces
-//!    them.
+//!    architecture.  The dispatch selects them when the CPU lacks AVX2/FMA,
+//!    when `NNBO_PORTABLE_KERNELS=1` forces them for the process, or inside
+//!    a [`with_portable_kernels`] scope.
 //! 2. **`"avx2+fma"`: packed-panel micro-kernels** (`packed` module) —
 //!    operands are packed once per block sweep into contiguous
 //!    `4-row × 8-column` panel layouts and driven by explicit AVX2+FMA
@@ -68,8 +68,11 @@
 //! reference, bit for bit.
 //!
 //! The dispatch (`dispatch` module) probes the CPU once per process with
-//! `is_x86_feature_detected!` and can be overridden by environment variable
-//! or programmatically.  [`kernel_isa`] reports which tier is active so
+//! `is_x86_feature_detected!`.  The environment variable forces the
+//! portable tier on every thread; [`with_portable_kernels`] forces it for
+//! one closure, on the calling thread and on every `nnbo-pool` task and job
+//! the closure submits, so the row bands a kernel fans out run the tier its
+//! caller chose.  [`kernel_isa`] reports the calling thread's tier so
 //! benchmark artifacts can record it.
 //!
 //! # `unsafe` in this crate
@@ -131,7 +134,7 @@ mod stats;
 mod vector;
 
 pub use cholesky::Cholesky;
-pub use dispatch::{force_portable_kernels, kernel_isa, PORTABLE_ENV};
+pub use dispatch::{kernel_isa, with_portable_kernels};
 pub use error::LinalgError;
 pub use matrix::Matrix;
 pub use stats::{mean, sample_std, standardize, Standardizer};

@@ -1,30 +1,17 @@
 //! Equivalence of the packed-panel SIMD kernels and the portable scalar
-//! kernels, exercised by toggling the runtime dispatch inside one process.
+//! kernels, compared inside one process by forcing the portable path for
+//! one closure with [`nnbo_linalg::with_portable_kernels`].
 //!
-//! These tests live in their own integration-test binary because
-//! [`nnbo_linalg::force_portable_kernels`] is a process-global switch: the
-//! unit tests of the crate assert bit-identity properties (banded vs
-//! sequential sweeps, batch vs single prediction) that assume the dispatch
-//! does not flip mid-test.  Here every assertion is tolerance-based, so the
-//! toggling is safe even with the test harness running cases concurrently.
+//! The scope holds for the calling thread and the pool tasks it submits
+//! only, so the tests of this binary and the crate's unit tests, which
+//! assert bit-identity properties (banded vs sequential sweeps, batch vs
+//! single prediction), run concurrently without seeing each other's tier.
 //!
 //! On machines without AVX2+FMA both paths are the same portable code and the
 //! comparisons are trivially exact — the suite still runs, pinning the
 //! fallback.
 
-use std::sync::Mutex;
-
-use nnbo_linalg::{force_portable_kernels, Cholesky, Matrix};
-
-/// Serialises the tests of this binary: the dispatch override is process
-/// global, so a test that toggles it must not overlap one that reads it.
-static DISPATCH_LOCK: Mutex<()> = Mutex::new(());
-
-fn serial() -> std::sync::MutexGuard<'static, ()> {
-    DISPATCH_LOCK
-        .lock()
-        .unwrap_or_else(|poisoned| poisoned.into_inner())
-}
+use nnbo_linalg::{with_portable_kernels, Cholesky, Matrix};
 
 /// Deterministic pseudo-random matrix.
 fn mat(rows: usize, cols: usize, seed: usize) -> Matrix {
@@ -39,20 +26,6 @@ fn spd(n: usize, seed: usize) -> Matrix {
     let mut a = b.matmul_transpose(&b);
     a.add_diag(n as f64 * 0.1 + 1.0);
     a
-}
-
-/// Runs `f` with the portable kernels forced, restoring the automatic
-/// dispatch afterwards (also on panic).
-fn with_portable<T>(f: impl FnOnce() -> T) -> T {
-    struct Restore;
-    impl Drop for Restore {
-        fn drop(&mut self) {
-            force_portable_kernels(false);
-        }
-    }
-    let _restore = Restore;
-    force_portable_kernels(true);
-    f()
 }
 
 fn assert_close(a: &Matrix, b: &Matrix, tol: f64, what: &str) {
@@ -82,7 +55,6 @@ const SHAPES: &[(usize, usize, usize)] = &[
 
 #[test]
 fn products_match_between_dispatch_paths_on_ragged_shapes() {
-    let _guard = serial();
     for &(m, k, n) in SHAPES {
         let a = mat(m, k, m * 31 + n);
         let b = mat(k, n, k);
@@ -94,7 +66,7 @@ fn products_match_between_dispatch_paths_on_ragged_shapes() {
             a.matmul_transpose(&bt),
             at.transpose_matmul(&b),
         );
-        let portable = with_portable(|| {
+        let portable = with_portable_kernels(|| {
             (
                 a.matmul(&b),
                 a.matmul_transpose(&bt),
@@ -123,7 +95,6 @@ fn products_match_between_dispatch_paths_on_ragged_shapes() {
 
 #[test]
 fn syrk_matches_general_product_on_ragged_shapes() {
-    let _guard = serial();
     for &(r, c, _) in SHAPES {
         let a = mat(r, c, r * 13 + c);
         let syrk = a.transpose_matmul_self();
@@ -134,14 +105,13 @@ fn syrk_matches_general_product_on_ragged_shapes() {
                 assert_eq!(syrk[(i, j)], syrk[(j, i)], "exact symmetry ({i},{j})");
             }
         }
-        let portable = with_portable(|| a.transpose_matmul_self());
+        let portable = with_portable_kernels(|| a.transpose_matmul_self());
         assert_close(&syrk, &portable, 1e-11, "syrk dispatch paths");
     }
 }
 
 #[test]
 fn cholesky_pipeline_matches_between_dispatch_paths() {
-    let _guard = serial();
     // Factorization (packed SYRK trailing update), batched solves (FMA
     // sweeps) and both inverses, vs their portable counterparts.
     for &n in &[1, 2, 5, 13, 48, 61, 130] {
@@ -151,7 +121,7 @@ fn cholesky_pipeline_matches_between_dispatch_paths() {
         let simd_solve = simd_chol.solve_matrix(&rhs);
         let simd_inv = simd_chol.inverse();
         let simd_sym = simd_chol.symmetric_inverse();
-        let (portable_solve, portable_inv, portable_sym) = with_portable(|| {
+        let (portable_solve, portable_inv, portable_sym) = with_portable_kernels(|| {
             let c = Cholesky::decompose(&a).expect("SPD");
             (c.solve_matrix(&rhs), c.inverse(), c.symmetric_inverse())
         });
@@ -165,7 +135,6 @@ fn cholesky_pipeline_matches_between_dispatch_paths() {
 
 #[test]
 fn sq_exp_apply_matches_between_dispatch_paths() {
-    let _guard = serial();
     // The fused squared-exponential pass: AVX2 polynomial exp vs the portable
     // scalar `f64::exp` loop, over rows spanning zero distance, moderate
     // distances and underflow, at widths exercising the vector tail.
@@ -186,7 +155,7 @@ fn sq_exp_apply_matches_between_dispatch_paths() {
             .collect();
         let mut simd = dots.clone();
         nnbo_linalg::sq_exp_apply(&mut simd, &x_norms, q_norm, sf2);
-        let portable = with_portable(|| {
+        let portable = with_portable_kernels(|| {
             let mut row = dots.clone();
             nnbo_linalg::sq_exp_apply(&mut row, &x_norms, q_norm, sf2);
             row
@@ -203,7 +172,6 @@ fn sq_exp_apply_matches_between_dispatch_paths() {
 
 #[test]
 fn batched_gp_prediction_buffers_match_between_dispatch_paths() {
-    let _guard = serial();
     // End-to-end through the prediction-path linalg: transpose_into +
     // solve_lower_matrix_in_place must equal the allocating composition on
     // both paths.
@@ -224,17 +192,16 @@ fn batched_gp_prediction_buffers_match_between_dispatch_paths() {
             reference.as_slice(),
             "in-place pipeline differs from allocating pipeline"
         );
-        let portable = with_portable(run);
+        let portable = with_portable_kernels(run);
         assert_close(&composed, &portable, 1e-9, "solve pipeline dispatch paths");
     }
 }
 
 #[test]
 fn reported_isa_is_consistent_with_forcing() {
-    let _guard = serial();
     let auto = nnbo_linalg::kernel_isa();
     assert!(auto == "avx512f" || auto == "avx2+fma" || auto == "portable");
-    let forced = with_portable(nnbo_linalg::kernel_isa);
+    let forced = with_portable_kernels(nnbo_linalg::kernel_isa);
     assert_eq!(forced, "portable");
     assert_eq!(nnbo_linalg::kernel_isa(), auto);
 }

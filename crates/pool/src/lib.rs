@@ -36,6 +36,14 @@
 //!   [`std::panic::catch_unwind`], so a poisoned job never takes down its
 //!   worker mid-flight.
 //!
+//! ## The context word
+//!
+//! Each thread holds one opaque `u64` ([`context`], set for a scope with
+//! [`with_context`]).  Every batch task and detached job runs with the word
+//! of the thread that submitted it, so a per-thread setting follows work
+//! onto the workers, through nested batches and jobs.  The pool gives no
+//! bit a meaning; `nnbo-linalg`'s portable-kernel scope is bit 0.
+//!
 //! ## Supervision
 //!
 //! Workers are supervised: a worker whose job panicked (or whose job asked
@@ -87,6 +95,31 @@ type BatchTask = Box<dyn FnOnce() + Send + 'static>;
 /// A detached job (a session step, a checkpoint flush).
 type Job = Box<dyn FnOnce() + Send + 'static>;
 
+thread_local! {
+    /// The calling thread's context word (see [`context`]).
+    static CONTEXT: Cell<u64> = const { Cell::new(0) };
+}
+
+/// The calling thread's context word (see the crate docs); 0 on a new
+/// thread.
+#[inline]
+pub fn context() -> u64 {
+    CONTEXT.with(Cell::get)
+}
+
+/// Runs `f` with the calling thread's context word set to `word`, and
+/// restores the previous word when `f` returns or unwinds.
+pub fn with_context<R>(word: u64, f: impl FnOnce() -> R) -> R {
+    struct Restore(u64);
+    impl Drop for Restore {
+        fn drop(&mut self) {
+            CONTEXT.with(|c| c.set(self.0));
+        }
+    }
+    let _restore = Restore(CONTEXT.with(|c| c.replace(word)));
+    f()
+}
+
 /// One scoped batch: a bag of claimable tasks plus the completion latch the
 /// submitting thread blocks on.
 struct BatchCore {
@@ -108,6 +141,8 @@ struct BatchCore {
     /// before `run_batch` returns, so the returned call has counted all of
     /// its tasks.
     executed: Arc<AtomicUsize>,
+    /// The submitting thread's [`context`] word, set around every task.
+    context: u64,
 }
 
 impl BatchCore {
@@ -118,7 +153,7 @@ impl BatchCore {
             Some(t) => t,
             None => return false,
         };
-        if let Err(payload) = catch_unwind(AssertUnwindSafe(task)) {
+        if let Err(payload) = with_context(self.context, || catch_unwind(AssertUnwindSafe(task))) {
             let mut slot = recover_lock(&self.panic, &self.poisonings);
             if slot.is_none() {
                 *slot = Some(payload);
@@ -391,7 +426,8 @@ impl WorkerPool {
     /// Runs every task to completion, sharing them between the pool's
     /// workers and the calling thread.  Tasks may borrow from the caller's
     /// stack (`'env`); the call only returns once all of them finished, and
-    /// the first task panic is re-thrown here.
+    /// the first task panic is re-thrown here.  Each task runs with the
+    /// calling thread's [`context`] word.
     pub fn run_batch<'env>(&self, tasks: Vec<Box<dyn FnOnce() + Send + 'env>>) {
         if tasks.is_empty() {
             return;
@@ -414,9 +450,11 @@ impl WorkerPool {
         //    zero: the code between here and the wait cannot unwind.  Task
         //    panics are caught in `run_one`; a second payload's destructor
         //    runs under `catch_unwind` there too; poisoned locks are
-        //    recovered by `recover_lock`/`recover_wait`; the rest is atomics
-        //    and a condvar notify.  An allocation failure aborts rather than
-        //    unwinds.  The only unwind, `resume_unwind`, comes after the wait.
+        //    recovered by `recover_lock`/`recover_wait`; the rest is atomics,
+        //    a condvar notify and stores to the `CONTEXT` thread-local, which
+        //    is const-initialised and has no destructor, so access cannot
+        //    fail.  An allocation failure aborts rather than unwinds.  The
+        //    only unwind, `resume_unwind`, comes after the wait.
         // 4. A worker may still hold the `Arc<BatchCore>` when this returns
         //    (it dequeued the batch late), but `tasks` is empty by then and
         //    the rest of `BatchCore` holds no `'env` data: a panic payload is
@@ -435,6 +473,7 @@ impl WorkerPool {
             done_cv: Condvar::new(),
             poisonings: Arc::clone(&self.inner.counters.lock_poisonings),
             executed: Arc::clone(&self.inner.counters.batch_tasks_executed),
+            context: context(),
         });
         if self.inner.workers > 0 && n > 1 {
             let mut injector = self.lock_injector();
@@ -458,15 +497,17 @@ impl WorkerPool {
     }
 
     /// Submits a detached job.  The job runs on a worker under
-    /// `catch_unwind`; a panicking job is counted and its worker recycled
-    /// (see the crate docs).  Requires at least one worker.
+    /// `catch_unwind`, with the calling thread's [`context`] word; a
+    /// panicking job is counted and its worker recycled (see the crate
+    /// docs).  Requires at least one worker.
     pub fn spawn(&self, job: impl FnOnce() + Send + 'static) {
         assert!(
             self.inner.workers > 0,
             "cannot spawn a detached job on a pool with zero workers"
         );
+        let word = context();
         let mut injector = self.lock_injector();
-        injector.push_back(Work::Job(Box::new(job)));
+        injector.push_back(Work::Job(Box::new(move || with_context(word, job))));
         drop(injector);
         self.inner.work_cv.notify_one();
     }
@@ -1067,6 +1108,77 @@ mod tests {
         assert_eq!(panic_message(payload.as_ref()), "formatted 7");
         let payload = catch_unwind(|| std::panic::panic_any(7u32)).unwrap_err();
         assert_eq!(panic_message(payload.as_ref()), "non-string panic payload");
+    }
+
+    /// Runs `f` in two batch tasks that wait for each other, so that the
+    /// caller runs one and a worker the other, and returns the thread and
+    /// result of each.
+    fn on_two_threads<R: Send>(
+        pool: &WorkerPool,
+        f: impl Fn() -> R + Sync,
+    ) -> Vec<(std::thread::ThreadId, R)> {
+        let started = AtomicUsize::new(0);
+        let deadline = std::time::Instant::now() + Duration::from_secs(10);
+        pool.map_bands(&[0, 1], 2, |_| {
+            started.fetch_add(1, Ordering::SeqCst);
+            while started.load(Ordering::SeqCst) < 2 && std::time::Instant::now() < deadline {
+                std::thread::yield_now();
+            }
+            (std::thread::current().id(), f())
+        })
+    }
+
+    #[test]
+    fn the_context_word_follows_work_onto_the_workers_and_is_restored() {
+        const WORD: u64 = 0b101;
+        // One worker, so the task that panics under the scope and the task
+        // checked after it run on the same worker thread.
+        let pool = Arc::new(WorkerPool::new(1));
+        let caller = std::thread::current().id();
+        assert_eq!(context(), 0);
+        with_context(WORD, || {
+            // A task run by the worker, and a batch nested in each task.
+            let seen = on_two_threads(&pool, || {
+                (context(), pool.map_bands(&[0, 1, 2], 3, |_| context()))
+            });
+            assert!(
+                seen.iter().any(|(id, _)| *id != caller),
+                "no task ran on the worker"
+            );
+            for (_, (word, nested)) in &seen {
+                assert_eq!(*word, WORD);
+                assert_eq!(nested, &[WORD; 3]);
+            }
+            // Every band of a map_bands.
+            assert_eq!(pool.map_bands(&[0; 6], 6, |_| context()), [WORD; 6]);
+            // A detached job.
+            let (tx, rx) = std::sync::mpsc::channel();
+            pool.spawn(move || {
+                let _ = tx.send(context());
+            });
+            assert_eq!(rx.recv_timeout(Duration::from_secs(10)).unwrap(), WORD);
+            // Tasks that panic on the caller and on the worker.
+            let panicked = catch_unwind(AssertUnwindSafe(|| {
+                on_two_threads(&pool, || -> u64 { panic!("scripted task panic") })
+            }));
+            assert!(panicked.is_err());
+            assert_eq!(context(), WORD);
+        });
+        assert_eq!(context(), 0, "the scope restores the caller's word");
+        let after = on_two_threads(&pool, context);
+        assert!(
+            after.iter().any(|(id, _)| *id != caller),
+            "no task ran on the worker"
+        );
+        assert!(after.iter().all(|(_, word)| *word == 0), "{after:?}");
+        let (tx, rx) = std::sync::mpsc::channel();
+        pool.spawn(move || {
+            let _ = tx.send(context());
+        });
+        assert_eq!(rx.recv_timeout(Duration::from_secs(10)).unwrap(), 0);
+        // A scope that unwinds restores the word too.
+        assert!(catch_unwind(|| with_context(WORD, || panic!("scripted scope panic"))).is_err());
+        assert_eq!(context(), 0);
     }
 
     #[test]

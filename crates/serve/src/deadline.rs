@@ -63,10 +63,15 @@ impl Problem for DeadlineProblem {
         let (tx, rx) = mpsc::channel();
         let inner = Arc::clone(&self.inner);
         let x_owned = x.to_vec();
+        // The watchdog runs under the caller's pool context word, as a pool
+        // job would (a portable-kernel scope, for one).
+        let word = nnbo_pool::context();
         let spawned = std::thread::Builder::new()
             .name("nnbo-serve-eval".to_string())
             .spawn(move || {
-                let outcome = catch_unwind(AssertUnwindSafe(|| inner.try_evaluate(&x_owned)));
+                let outcome = nnbo_pool::with_context(word, || {
+                    catch_unwind(AssertUnwindSafe(|| inner.try_evaluate(&x_owned)))
+                });
                 // The receiver may have timed out and gone away; a dead
                 // channel just means the result is discarded.
                 let _ = tx.send(outcome);
@@ -168,5 +173,27 @@ mod tests {
         let payload = caught.unwrap_err();
         let msg = payload.downcast_ref::<&str>().copied().unwrap_or("");
         assert!(msg.contains("simulator crashed hard"));
+    }
+
+    /// Reports the pool context word of the thread that evaluates it.
+    struct ContextProbe;
+    impl Problem for ContextProbe {
+        fn dim(&self) -> usize {
+            1
+        }
+        fn num_constraints(&self) -> usize {
+            0
+        }
+        fn evaluate(&self, _x: &[f64]) -> Evaluation {
+            Evaluation::unconstrained(nnbo_pool::context() as f64)
+        }
+    }
+
+    #[test]
+    fn the_evaluation_thread_runs_under_the_callers_context_word() {
+        let p = DeadlineProblem::new(Arc::new(ContextProbe), Duration::from_secs(30));
+        let inside = nnbo_pool::with_context(5, || p.try_evaluate(&[0.1]));
+        assert_eq!(inside.ok().unwrap().objective, 5.0);
+        assert_eq!(p.try_evaluate(&[0.1]).ok().unwrap().objective, 0.0);
     }
 }
