@@ -1,5 +1,6 @@
 //! Model averaging over independently initialised neural GPs (eq. 13).
 
+use nnbo_linalg::Matrix;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use serde::{Deserialize, Serialize};
@@ -310,11 +311,11 @@ impl SurrogateModel for NeuralGpEnsemble {
             .expect("one query row yields one prediction")
     }
 
-    /// Batched moment matching (eq. 13): every member scores the whole batch
-    /// through its own vectorised path, and large batches run one member per
-    /// pool task.  Combination runs in member order regardless of thread
-    /// scheduling, so the result is deterministic and identical to the
-    /// per-point path.
+    /// Batched moment matching (eq. 13): the query matrix is built once,
+    /// every member scores it through its own vectorised path, and large
+    /// batches run one member per pool task.  Combination runs in member
+    /// order regardless of thread scheduling, so the result is deterministic
+    /// and identical to the per-point path.
     fn predict_batch(&self, xs: &[Vec<f64>]) -> Vec<Prediction> {
         if xs.is_empty() {
             return Vec::new();
@@ -324,8 +325,9 @@ impl SurrogateModel for NeuralGpEnsemble {
         } else {
             1
         };
+        let queries = Matrix::from_rows(xs);
         let member_preds = nnbo_pool::WorkerPool::global()
-            .map_bands(&self.members, bands, |m| m.predict_batch(xs));
+            .map_bands(&self.members, bands, |m| m.predict_rows(&queries));
 
         let k = self.members.len() as f64;
         let mut out = Vec::with_capacity(xs.len());

@@ -1,7 +1,7 @@
 //! The neural-network Gaussian process (weight-space view) — the paper's surrogate.
 
 use nnbo_linalg::{Cholesky, Matrix, Standardizer};
-use nnbo_nn::{Activation, Adam, Mlp, MlpConfig};
+use nnbo_nn::{Activation, Adam, Mlp, MlpConfig, MlpWorkspace};
 use rand::rngs::StdRng;
 use rand::Rng;
 use serde::{Deserialize, Serialize};
@@ -191,13 +191,18 @@ impl<'de> Deserialize<'de> for NeuralGp {
 }
 
 /// Reusable buffers of one training descent: the flat `[log σn, log σp,
-/// weights...]` parameter vector handed to Adam, the matching gradient, and
-/// the `M × M` matrices of the per-epoch symmetric inverse `A⁻¹`.
-/// Allocated once per fit and reused across every epoch, so the warm loop's
-/// per-epoch cost is the likelihood evaluation alone.
+/// weights...]` parameter vector handed to Adam, the matching gradient, the
+/// feature network's workspace (every layer's output, upstream gradient and
+/// weight gradient), `∂nll/∂Φ` (`N × M`, which the backward pass turns into
+/// the output layer's delta in place) and the `M × M` matrices of the
+/// per-epoch symmetric inverse `A⁻¹`.  Allocated in the first epoch of a fit
+/// and reused by every later one, so the warm loop's per-epoch cost is the
+/// likelihood evaluation alone.
 struct TrainScratch {
     flat: Vec<f64>,
     grad: Vec<f64>,
+    network: MlpWorkspace,
+    grad_out: Matrix,
     inv: Matrix,
     inv_work: Matrix,
 }
@@ -207,6 +212,8 @@ impl TrainScratch {
         TrainScratch {
             flat: Vec::with_capacity(num_params),
             grad: Vec::with_capacity(num_params),
+            network: MlpWorkspace::new(),
+            grad_out: Matrix::zeros(0, 0),
             inv: Matrix::zeros(0, 0),
             inv_work: Matrix::zeros(0, 0),
         }
@@ -470,6 +477,33 @@ impl NeuralGp {
     pub fn noise_std(&self) -> f64 {
         self.log_noise.exp()
     }
+
+    /// [`SurrogateModel::predict_batch`] over the rows of `x` (`Q × d`, at
+    /// least one row), so the ensemble can build the query matrix once and
+    /// hand it to every member.
+    pub(crate) fn predict_rows(&self, x: &Matrix) -> Vec<Prediction> {
+        let phi = self.mlp.forward_batch(x); // Q×M
+        let means = phi.matvec(&self.alpha);
+        let v = self.chol.solve_lower_matrix(&phi.transpose()); // M×Q
+        let mut quad = vec![0.0; x.nrows()];
+        for row in v.rows_iter() {
+            for (q, u) in quad.iter_mut().zip(row.iter()) {
+                *q += u * u;
+            }
+        }
+        let noise_var = (2.0 * self.log_noise).exp();
+        means
+            .into_iter()
+            .zip(quad)
+            .map(|(mean_std, q)| {
+                let var_std = noise_var * (1.0 + q);
+                Prediction::new(
+                    self.standardizer.inverse(mean_std),
+                    self.standardizer.inverse_variance(var_std),
+                )
+            })
+            .collect()
+    }
 }
 
 impl SurrogateModel for NeuralGp {
@@ -503,27 +537,7 @@ impl SurrogateModel for NeuralGp {
         if xs.is_empty() {
             return Vec::new();
         }
-        let phi = self.mlp.forward_batch(&Matrix::from_rows(xs)); // Q×M
-        let means = phi.matvec(&self.alpha);
-        let v = self.chol.solve_lower_matrix(&phi.transpose()); // M×Q
-        let mut quad = vec![0.0; xs.len()];
-        for row in v.rows_iter() {
-            for (q, u) in quad.iter_mut().zip(row.iter()) {
-                *q += u * u;
-            }
-        }
-        let noise_var = (2.0 * self.log_noise).exp();
-        means
-            .into_iter()
-            .zip(quad)
-            .map(|(mean_std, q)| {
-                let var_std = noise_var * (1.0 + q);
-                Prediction::new(
-                    self.standardizer.inverse(mean_std),
-                    self.standardizer.inverse_variance(var_std),
-                )
-            })
-            .collect()
+        self.predict_rows(&Matrix::from_rows(xs))
     }
 }
 
@@ -565,19 +579,7 @@ fn run_adam(
     let mut nn_params = mlp.flat_params();
     for _ in 0..epochs {
         mlp.set_flat_params(&nn_params);
-        if loss_and_grad_into(
-            mlp,
-            log_noise,
-            log_prior,
-            x,
-            y,
-            config,
-            &mut scratch.grad,
-            &mut scratch.inv,
-            &mut scratch.inv_work,
-        )
-        .is_none()
-        {
+        if loss_and_grad_into(mlp, log_noise, log_prior, x, y, config, scratch).is_none() {
             break;
         }
         // One sum of squares serves the early-stop RMS and Adam's clip norm.
@@ -730,27 +732,14 @@ pub(crate) fn loss_and_grad(
     y: &[f64],
     config: &NeuralGpConfig,
 ) -> Option<(f64, Vec<f64>)> {
-    let mut grad = Vec::new();
-    let mut inv = Matrix::zeros(0, 0);
-    let mut inv_work = Matrix::zeros(0, 0);
-    loss_and_grad_into(
-        mlp,
-        log_noise,
-        log_prior,
-        x,
-        y,
-        config,
-        &mut grad,
-        &mut inv,
-        &mut inv_work,
-    )
-    .map(|nll| (nll, grad))
+    let mut scratch = TrainScratch::new(2 + mlp.num_params());
+    loss_and_grad_into(mlp, log_noise, log_prior, x, y, config, &mut scratch)
+        .map(|nll| (nll, scratch.grad))
 }
 
-/// [`loss_and_grad`] writing the gradient into a caller-owned buffer and the
-/// symmetric inverse into caller-owned matrices, so the training loop reuses
-/// one set of allocations across every epoch.
-#[allow(clippy::too_many_arguments)]
+/// [`loss_and_grad`] writing the gradient into `scratch.grad` and every
+/// intermediate into the other buffers of `scratch`, so the training loop
+/// reuses one set of allocations across every epoch.
 fn loss_and_grad_into(
     mlp: &Mlp,
     log_noise: f64,
@@ -758,12 +747,17 @@ fn loss_and_grad_into(
     x: &Matrix,
     y: &[f64],
     config: &NeuralGpConfig,
-    grad: &mut Vec<f64>,
-    inv: &mut Matrix,
-    inv_work: &mut Matrix,
+    scratch: &mut TrainScratch,
 ) -> Option<f64> {
-    let cache = mlp.forward_cached(x);
-    let out = cache.output();
+    let TrainScratch {
+        grad,
+        network,
+        grad_out,
+        inv,
+        inv_work,
+        ..
+    } = scratch;
+    let out = mlp.forward_into(x, network);
     let n = out.nrows();
     let m = out.ncols();
     let noise_var = (2.0 * log_noise).exp();
@@ -800,7 +794,10 @@ fn loss_and_grad_into(
     //   ∂nll/∂Out = -(1/σn²)·r·αᵀ + Out·A⁻¹.
     chol.symmetric_inverse_into(inv, inv_work);
     let b = &*inv;
-    let mut grad_out = out.matmul(b);
+    if grad_out.shape() != (n, m) {
+        *grad_out = Matrix::zeros(n, m);
+    }
+    out.matmul_into(b, grad_out);
     for i in 0..n {
         let scale = -residual[i] / noise_var;
         let row = grad_out.row_mut(i);
@@ -808,7 +805,6 @@ fn loss_and_grad_into(
             *g += scale * a;
         }
     }
-    let nn_grad = mlp.param_gradient(&cache, &grad_out);
 
     // Gradients with respect to log σn and log σp.
     let alpha_sq: f64 = alpha.iter().map(|a| a * a).sum();
@@ -817,11 +813,10 @@ fn loss_and_grad_into(
     let d_log_noise = -2.0 * fit_term + 2.0 * lambda * lambda_sensitivity - m as f64 + n as f64;
     let d_log_prior = -2.0 * lambda * lambda_sensitivity + m as f64;
 
-    grad.clear();
-    grad.reserve(2 + mlp.num_params());
-    grad.push(d_log_noise);
-    grad.push(d_log_prior);
-    nn_grad.append_flat(grad);
+    grad.resize(2 + mlp.num_params(), 0.0);
+    grad[0] = d_log_noise;
+    grad[1] = d_log_prior;
+    mlp.backward_into(x, network, grad_out, &mut grad[2..]);
     if grad.iter().any(|g| !g.is_finite()) {
         return None;
     }
@@ -832,6 +827,7 @@ fn loss_and_grad_into(
 mod tests {
     use super::*;
     use nnbo_nn::finite_difference_gradient;
+    use proptest::prelude::*;
     use rand::SeedableRng;
 
     fn toy_data(n: usize, seed: u64) -> (Vec<Vec<f64>>, Vec<f64>) {
@@ -1148,6 +1144,138 @@ mod tests {
         };
         assert_eq!(fit(11), fit(11));
         assert_ne!(fit(11), fit(12));
+    }
+
+    /// The function-space GP a fitted model is equivalent to (eqs. 8–10):
+    /// kernel `K = (σp²/M)·ΦΦᵀ + σn²I` over the model's own features of
+    /// `xs`, standardised targets `y`, solved through the N×N `nnbo-linalg`
+    /// Cholesky.  Returns each query's standardised predictive mean and
+    /// variance (noise included, as [`NeuralGp`] predicts), the NLL, and
+    /// `trace(K)/σn²`, an upper bound on the condition number of `K`.
+    fn function_space_gp(
+        model: &NeuralGp,
+        xs: &[Vec<f64>],
+        y: &[f64],
+        queries: &[Vec<f64>],
+    ) -> (Vec<(f64, f64)>, f64, f64) {
+        let phi = model.mlp.forward_batch(&Matrix::from_rows(xs)); // N×M
+        let n = xs.len() as f64;
+        let noise_var = (2.0 * model.log_noise).exp();
+        let weight_var = (2.0 * model.log_prior).exp() / phi.ncols() as f64;
+        let mut k = phi.matmul_transpose(&phi);
+        k.scale_inplace(weight_var);
+        k.add_diag(noise_var);
+        let condition_bound = k.trace().unwrap() / noise_var;
+        let chol = Cholesky::decompose(&k).expect("K = σn²I + PSD is positive definite");
+        let k_inv_y = chol.solve_vec(y);
+        let y_k_inv_y: f64 = y.iter().zip(&k_inv_y).map(|(a, b)| a * b).sum();
+        let nll =
+            0.5 * y_k_inv_y + 0.5 * chol.log_det() + 0.5 * n * (2.0 * std::f64::consts::PI).ln();
+        let phi_q = model.mlp.forward_batch(&Matrix::from_rows(queries)); // Q×M
+        let mut k_q = phi_q.matmul_transpose(&phi); // Q×N
+        k_q.scale_inplace(weight_var);
+        let moments = (0..queries.len())
+            .map(|q| {
+                let k_star = k_q.row(q);
+                let mean: f64 = k_star.iter().zip(&k_inv_y).map(|(a, b)| a * b).sum();
+                let w = chol.solve_lower(k_star);
+                let prior: f64 = weight_var * phi_q.row(q).iter().map(|p| p * p).sum::<f64>();
+                let explained: f64 = w.iter().map(|v| v * v).sum();
+                (mean, prior - explained + noise_var)
+            })
+            .collect();
+        (moments, nll, condition_bound)
+    }
+
+    /// Checks `model`'s predictions at `queries` and its `nll()` against
+    /// [`function_space_gp`] on the data it holds, `(xs, ys)` in original
+    /// units, standardised with the model's own standardiser.
+    fn check_against_function_space(
+        model: &NeuralGp,
+        xs: &[Vec<f64>],
+        ys: &[f64],
+        queries: &[Vec<f64>],
+        what: &str,
+    ) -> Result<(), proptest::test_runner::TestCaseError> {
+        let s = model.standardizer;
+        let y: Vec<f64> = ys.iter().map(|&v| s.transform(v)).collect();
+        let (moments, nll, condition_bound) = function_space_gp(model, xs, &y, queries);
+        // The equivalence is exact only without the jitter ladder, and 1e-8
+        // relative holds only where K is well conditioned: the N×N solve
+        // loses about cond(K)·ε of relative accuracy.
+        prop_assert!(model.fit_jitter == 0.0, "{what}: the fit needed jitter");
+        prop_assert!(
+            condition_bound < 1e6,
+            "{what}: trace(K)/σn² = {condition_bound:e}, K is not well conditioned"
+        );
+        let tol = 1e-8;
+        prop_assert!(
+            (model.nll() - nll).abs() <= tol * nll.abs().max(1.0),
+            "{what}: NLL {} vs function space {nll}",
+            model.nll()
+        );
+        let predictions = model.predict_batch(queries);
+        for (p, &(mean, var)) in predictions.iter().zip(&moments) {
+            // The mean relative to the standardised targets' unit scale, the
+            // variance (at least σn² > 0) relative to itself.
+            let mean_err = (p.mean - s.inverse(mean)).abs() / s.std();
+            prop_assert!(
+                mean_err <= tol * mean.abs().max(1.0),
+                "{what}: mean {} vs function space {}",
+                p.mean,
+                s.inverse(mean)
+            );
+            let var_ref = s.inverse_variance(var);
+            prop_assert!(
+                (p.variance - var_ref).abs() <= tol * var_ref,
+                "{what}: variance {} vs function space {var_ref}",
+                p.variance
+            );
+        }
+        Ok(())
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(8))]
+
+        /// Weight space against function space: the fitted model, the model after `append_observation` (frozen
+        /// network, noise and standardiser) and a warm refit each predict
+        /// and score exactly what the N×N GP on their induced kernel does.
+        #[test]
+        fn weight_space_model_matches_the_function_space_gp(
+            n in 12usize..36,
+            data_seed in 0u64..1_000,
+            fit_seed in 0u64..1_000,
+            offset in -50.0..50.0f64,
+            scale in 0.1..20.0f64,
+        ) {
+            let config = NeuralGpConfig {
+                hidden_dims: vec![16, 16],
+                feature_dim: 8,
+                epochs: 40,
+                warm_epochs: 10,
+                min_log_noise: (1e-2_f64).ln(),
+                ..NeuralGpConfig::default()
+            };
+            let (xs, raw) = toy_data(n, data_seed);
+            let ys: Vec<f64> = raw.iter().map(|v| offset + scale * v).collect();
+            let queries: Vec<Vec<f64>> = toy_data(6, data_seed + 7).0;
+            let mut rng = StdRng::seed_from_u64(fit_seed);
+            let model = NeuralGp::fit(&xs, &ys, &config, &mut rng).unwrap();
+            check_against_function_space(&model, &xs, &ys, &queries, "fit")?;
+
+            let (x_new, raw_new) = toy_data(1, data_seed + 11);
+            let y_new = offset + scale * raw_new[0];
+            let updated = model.append_observation(&x_new[0], y_new).unwrap();
+            let mut xs2 = xs.clone();
+            xs2.push(x_new[0].clone());
+            let mut ys2 = ys.clone();
+            ys2.push(y_new);
+            check_against_function_space(&updated, &xs2, &ys2, &queries, "appended")?;
+
+            let warm = NeuralGp::fit_warm(&xs2, &ys2, &config, &mut rng, Some(&updated)).unwrap();
+            check_against_function_space(&warm, &xs2, &ys2, &queries, "warm refit")?;
+        }
     }
 
     #[test]

@@ -28,22 +28,23 @@ impl Activation {
         }
     }
 
-    /// Derivative of the activation evaluated at pre-activation `x`.
-    ///
-    /// For ReLU the sub-gradient at exactly zero is taken to be 0.
-    pub fn derivative(self, x: f64) -> f64 {
+    /// The derivative at pre-activation `x`, read off the activation's
+    /// *output* `a = apply(x)`: `1` where `a > 0` else `0` for ReLU (`apply`
+    /// maps zero, negative and NaN inputs all to `0`), `1 − a·a` for Tanh
+    /// and `1` for Identity.  These are the operations the derivative at `x`
+    /// performs, so back-propagation needs only the layer outputs, not the
+    /// pre-activations, and gets the same bits.  For ReLU the sub-gradient
+    /// at exactly zero is taken to be 0.
+    pub fn output_derivative(self, a: f64) -> f64 {
         match self {
             Activation::ReLU => {
-                if x > 0.0 {
+                if a > 0.0 {
                     1.0
                 } else {
                     0.0
                 }
             }
-            Activation::Tanh => {
-                let t = x.tanh();
-                1.0 - t * t
-            }
+            Activation::Tanh => 1.0 - a * a,
             Activation::Identity => 1.0,
         }
     }
@@ -52,6 +53,7 @@ impl Activation {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::reference::ActivationReference;
 
     #[test]
     fn relu_values_and_derivative() {
@@ -73,6 +75,33 @@ mod tests {
     fn identity_is_transparent() {
         assert_eq!(Activation::Identity.apply(-5.5), -5.5);
         assert_eq!(Activation::Identity.derivative(123.0), 1.0);
+    }
+
+    #[test]
+    fn output_derivative_reproduces_the_pre_activation_derivative_bit_for_bit() {
+        let xs = [
+            0.0,
+            -0.0,
+            f64::MIN_POSITIVE / 4.0,
+            -f64::MIN_POSITIVE / 4.0,
+            1e-300,
+            0.37,
+            -2.5,
+            19.0,
+            -19.0,
+            f64::INFINITY,
+            f64::NEG_INFINITY,
+            f64::NAN,
+        ];
+        for act in [Activation::ReLU, Activation::Tanh, Activation::Identity] {
+            for &x in &xs {
+                assert_eq!(
+                    act.output_derivative(act.apply(x)).to_bits(),
+                    act.derivative(x).to_bits(),
+                    "{act:?} at {x}"
+                );
+            }
+        }
     }
 
     #[test]

@@ -42,15 +42,6 @@ impl<'de> Deserialize<'de> for DenseLayer {
     }
 }
 
-/// Gradient of a loss with respect to one [`DenseLayer`]'s parameters.
-#[derive(Debug, Clone, PartialEq)]
-pub struct LayerGradient {
-    /// Gradient with respect to the weight matrix (same shape as the weights).
-    pub weights: Matrix,
-    /// Gradient with respect to the bias vector.
-    pub bias: Vec<f64>,
-}
-
 impl DenseLayer {
     /// Creates a layer with He-style initialisation for ReLU layers and
     /// Xavier-style initialisation otherwise.
@@ -131,81 +122,91 @@ impl DenseLayer {
         nw + nb
     }
 
-    /// Batched pre-activation: `Z = X Wᵀ + b` where `X` is `N x in`.
-    pub fn pre_activation(&self, input: &Matrix) -> Matrix {
-        let mut z = input.matmul_transpose(&self.weights);
-        for i in 0..z.nrows() {
-            let row = z.row_mut(i);
-            for (zj, bj) in row.iter_mut().zip(self.bias.iter()) {
-                *zj += bj;
+    /// Batched forward pass `act(X Wᵀ + b)` of an `N x in` input, written
+    /// into `out` (given the `N x out` shape if it has another).  The product
+    /// goes in first; one sweep then adds the bias and applies the
+    /// activation, so no separate pre-activation is kept.
+    pub(crate) fn forward_into(&self, input: &Matrix, out: &mut Matrix) {
+        fit_shape(out, input.nrows(), self.output_dim());
+        input.matmul_transpose_into(&self.weights, out);
+        match self.activation {
+            Activation::ReLU => self.add_bias_then(out, |z| Activation::ReLU.apply(z)),
+            Activation::Tanh => self.add_bias_then(out, |z| Activation::Tanh.apply(z)),
+            Activation::Identity => self.add_bias_then(out, |z| z),
+        }
+    }
+
+    /// `out[i][j] = act(out[i][j] + b[j])` over every row.
+    fn add_bias_then(&self, out: &mut Matrix, act: impl Fn(f64) -> f64) {
+        for row in out
+            .as_mut_slice()
+            .chunks_exact_mut(self.output_dim().max(1))
+        {
+            for (v, b) in row.iter_mut().zip(&self.bias) {
+                *v = act(*v + b);
             }
         }
-        z
     }
 
-    /// Batched forward pass: activation applied to the pre-activation.
-    pub fn forward(&self, input: &Matrix) -> Matrix {
-        let act = self.activation;
-        self.pre_activation(input).map(|x| act.apply(x))
-    }
-
-    /// Back-propagates `grad_output` (gradient of the loss with respect to this
-    /// layer's *post-activation* output, shape `N x out`).
-    ///
-    /// Returns the parameter gradient and the gradient with respect to the layer
-    /// input (shape `N x in`), given the cached `input` and `pre_activation` from the
+    /// One layer of back-propagation over the `input` and `output` of its
     /// forward pass.
-    pub fn backward(
+    ///
+    /// `delta` holds ∂loss/∂output (`N x out`) on entry and is turned in
+    /// place into `delta = ∂loss/∂output ⊙ act'`, the derivative read off
+    /// `output` ([`Activation::output_derivative`]).  Then `dW = deltaᵀ X`
+    /// goes through `weight_grad` into `grad[..out·in]` and the bias
+    /// gradient, the column sums of `delta`, into the rest of `grad` (this
+    /// layer's slice of the flat gradient, [`Self::append_params`] order).
+    /// With `upstream`, the gradient with respect to the layer input,
+    /// `delta · W` (`N x in`), is written there too.
+    pub(crate) fn backward_into(
         &self,
         input: &Matrix,
-        pre_activation: &Matrix,
-        grad_output: &Matrix,
-    ) -> (LayerGradient, Matrix) {
-        let (grad, delta) = self.param_gradient(input, pre_activation, grad_output);
-        (grad, self.input_gradient(&delta))
-    }
-
-    /// The parameter half of [`Self::backward`]: the parameter gradient plus
-    /// `delta = grad_output ⊙ act'(z)` (shape `N x out`), from which
-    /// [`Self::input_gradient`] finishes the input gradient.
-    pub(crate) fn param_gradient(
-        &self,
-        input: &Matrix,
-        pre_activation: &Matrix,
-        grad_output: &Matrix,
-    ) -> (LayerGradient, Matrix) {
+        output: &Matrix,
+        delta: &mut Matrix,
+        weight_grad: &mut Matrix,
+        grad: &mut [f64],
+        upstream: Option<&mut Matrix>,
+    ) {
+        assert_eq!(
+            delta.shape(),
+            output.shape(),
+            "delta does not match the output"
+        );
+        assert_eq!(
+            grad.len(),
+            self.num_params(),
+            "gradient slice does not match the layer"
+        );
         let act = self.activation;
-        let delta = grad_output.hadamard(&pre_activation.map(|x| act.derivative(x)));
-        // dW = deltaᵀ X  (out x in);  db = column sums of delta.
-        let grad_weights = delta.transpose_matmul(input);
-        let mut grad_bias = vec![0.0; self.output_dim()];
-        for i in 0..delta.nrows() {
-            for (gb, d) in grad_bias.iter_mut().zip(delta.row(i).iter()) {
+        // Identity's derivative is 1, and a product with 1 keeps every bit.
+        if act != Activation::Identity {
+            for (d, &a) in delta.as_mut_slice().iter_mut().zip(output.as_slice()) {
+                *d *= act.output_derivative(a);
+            }
+        }
+        fit_shape(weight_grad, self.output_dim(), self.input_dim());
+        delta.transpose_matmul_into(input, weight_grad);
+        let (grad_weights, grad_bias) = grad.split_at_mut(weight_grad.as_slice().len());
+        grad_weights.copy_from_slice(weight_grad.as_slice());
+        grad_bias.fill(0.0);
+        for row in delta.as_slice().chunks_exact(self.output_dim().max(1)) {
+            for (gb, d) in grad_bias.iter_mut().zip(row) {
                 *gb += d;
             }
         }
-        (
-            LayerGradient {
-                weights: grad_weights,
-                bias: grad_bias,
-            },
-            delta,
-        )
-    }
-
-    /// The gradient with respect to the layer input, `delta · W` (shape
-    /// `N x in`), from the `delta` of [`Self::param_gradient`].
-    pub(crate) fn input_gradient(&self, delta: &Matrix) -> Matrix {
-        delta.matmul(&self.weights)
+        if let Some(upstream) = upstream {
+            fit_shape(upstream, delta.nrows(), self.input_dim());
+            delta.matmul_into(&self.weights, upstream);
+        }
     }
 }
 
-impl LayerGradient {
-    /// Appends the gradient values to a flat vector (same ordering as
-    /// [`DenseLayer::append_params`]).
-    pub fn append_flat(&self, out: &mut Vec<f64>) {
-        out.extend_from_slice(self.weights.as_slice());
-        out.extend_from_slice(&self.bias);
+/// Gives `m` the shape `rows x cols`, reallocating only when it has another
+/// one; the passes overwrite every entry, so the values are left as they are.
+fn fit_shape(m: &mut Matrix, rows: usize, cols: usize) {
+    if m.shape() != (rows, cols) {
+        *m = Matrix::zeros(rows, cols);
     }
 }
 
@@ -215,6 +216,30 @@ mod tests {
     use rand::rngs::StdRng;
     use rand::SeedableRng;
 
+    fn forward(layer: &DenseLayer, x: &Matrix) -> Matrix {
+        let mut out = Matrix::zeros(0, 0);
+        layer.forward_into(x, &mut out);
+        out
+    }
+
+    /// The flat parameter gradient and the input gradient of `grad_out`.
+    fn backward(layer: &DenseLayer, x: &Matrix, grad_out: &Matrix) -> (Vec<f64>, Matrix) {
+        let out = forward(layer, x);
+        let mut delta = grad_out.clone();
+        let mut weight_grad = Matrix::zeros(0, 0);
+        let mut grad = vec![0.0; layer.num_params()];
+        let mut upstream = Matrix::zeros(0, 0);
+        layer.backward_into(
+            x,
+            &out,
+            &mut delta,
+            &mut weight_grad,
+            &mut grad,
+            Some(&mut upstream),
+        );
+        (grad, upstream)
+    }
+
     #[test]
     fn forward_shape_and_bias() {
         let mut rng = StdRng::seed_from_u64(1);
@@ -223,7 +248,7 @@ mod tests {
         let flat = vec![1.0, 0.0, 0.0, 0.0, 1.0, 0.0, 0.5, -0.5];
         layer.load_params(&flat);
         let x = Matrix::from_rows(&[vec![1.0, 2.0, 3.0]]);
-        let y = layer.forward(&x);
+        let y = forward(&layer, &x);
         assert_eq!(y.shape(), (1, 2));
         assert!((y[(0, 0)] - 1.5).abs() < 1e-12);
         assert!((y[(0, 1)] - 1.5).abs() < 1e-12);
@@ -247,7 +272,7 @@ mod tests {
         let mut rng = StdRng::seed_from_u64(3);
         let mut layer = DenseLayer::new(1, 1, Activation::ReLU, &mut rng);
         layer.load_params(&[-1.0, 0.0]);
-        let y = layer.forward(&Matrix::from_rows(&[vec![2.0]]));
+        let y = forward(&layer, &Matrix::from_rows(&[vec![2.0]]));
         assert_eq!(y[(0, 0)], 0.0);
     }
 
@@ -257,15 +282,12 @@ mod tests {
         let layer = DenseLayer::new(3, 2, Activation::Tanh, &mut rng);
         let x = Matrix::from_rows(&[vec![0.3, -0.4, 0.9], vec![1.1, 0.2, -0.6]]);
         // Loss = sum of outputs, so grad_output is all ones.
-        let loss = |l: &DenseLayer| l.forward(&x).sum();
+        let loss = |l: &DenseLayer| forward(l, &x).sum();
         let grad_out = Matrix::filled(2, 2, 1.0);
-        let z = layer.pre_activation(&x);
-        let (grad, _) = layer.backward(&x, &z, &grad_out);
+        let (grad_flat, _) = backward(&layer, &x, &grad_out);
 
         let mut flat = Vec::new();
         layer.append_params(&mut flat);
-        let mut grad_flat = Vec::new();
-        grad.append_flat(&mut grad_flat);
 
         let h = 1e-6;
         for k in 0..flat.len() {
@@ -292,15 +314,14 @@ mod tests {
         let layer = DenseLayer::new(2, 3, Activation::Tanh, &mut rng);
         let x = Matrix::from_rows(&[vec![0.5, -0.2]]);
         let grad_out = Matrix::filled(1, 3, 1.0);
-        let z = layer.pre_activation(&x);
-        let (_, grad_in) = layer.backward(&x, &z, &grad_out);
+        let (_, grad_in) = backward(&layer, &x, &grad_out);
         let h = 1e-6;
         for j in 0..2 {
             let mut xp = x.clone();
             xp[(0, j)] += h;
             let mut xm = x.clone();
             xm[(0, j)] -= h;
-            let fd = (layer.forward(&xp).sum() - layer.forward(&xm).sum()) / (2.0 * h);
+            let fd = (forward(&layer, &xp).sum() - forward(&layer, &xm).sum()) / (2.0 * h);
             assert!((fd - grad_in[(0, j)]).abs() < 1e-5);
         }
     }

@@ -6,8 +6,17 @@
 //! `k(x1,x2) = φ(x1)ᵀ Σp φ(x2)`.  This crate provides exactly the pieces that the
 //! neural GP needs:
 //!
-//! * [`Mlp`] — a multi-layer perceptron with batched forward pass and full
-//!   back-propagation through cached activations;
+//! * [`Mlp`] — a multi-layer perceptron whose batched forward pass and
+//!   back-propagation run through an [`MlpWorkspace`] of reused buffers.
+//!   The forward pass borrows its input, writes each layer's `X·Wᵀ` into
+//!   that layer's output buffer, then adds the bias and applies the
+//!   activation in the same sweep; only the layer outputs are kept, because
+//!   every activation's derivative is read off its output
+//!   ([`Activation::output_derivative`]).  The backward pass turns each
+//!   upstream gradient into the layer's delta in place and writes the weight
+//!   gradient, bias gradient and next upstream gradient into the workspace,
+//!   so a training loop that keeps one workspace allocates in its first
+//!   epoch only;
 //! * [`Activation`] — ReLU / Tanh / Identity activations;
 //! * [`Adam`] — the first-order optimizer, operating on flat parameter vectors
 //!   so that network weights and GP hyper-parameters can be optimized jointly;
@@ -35,9 +44,11 @@ mod gradcheck;
 mod layer;
 mod mlp;
 mod optimizer;
+#[cfg(test)]
+mod reference;
 
 pub use activation::Activation;
 pub use gradcheck::finite_difference_gradient;
-pub use layer::{DenseLayer, LayerGradient};
-pub use mlp::{ForwardCache, Mlp, MlpConfig, MlpGradient};
+pub use layer::DenseLayer;
+pub use mlp::{Mlp, MlpConfig, MlpWorkspace};
 pub use optimizer::{Adam, AdamConfig, Optimizer};

@@ -1,10 +1,20 @@
 //! Multi-layer perceptron built from [`DenseLayer`]s.
+//!
+//! Both passes run over an [`MlpWorkspace`]: one buffer per layer output,
+//! per hidden layer's upstream gradient and per weight gradient, each
+//! reallocated only when the batch size changes.  The forward pass adds
+//! the bias and applies the activation in the sweep that follows each
+//! layer's product, and the backward pass reads the activation derivatives
+//! off those outputs, so no input copy and no pre-activation is kept.  The
+//! allocating chain they replaced, with per-layer input clones and separate
+//! pre-activation, bias and map matrices, is kept in the test-only
+//! `reference` module, which pins both passes bit for bit.
 
 use nnbo_linalg::Matrix;
 use rand::Rng;
 use serde::{Deserialize, Serialize};
 
-use crate::{Activation, DenseLayer, LayerGradient};
+use crate::{Activation, DenseLayer};
 
 /// Configuration of an [`Mlp`]: input dimension, hidden widths and output width.
 ///
@@ -65,50 +75,32 @@ impl MlpConfig {
     }
 }
 
-/// Cached intermediate values from a forward pass, needed for back-propagation.
-#[derive(Debug, Clone)]
-pub struct ForwardCache {
-    /// Layer inputs: `inputs[0]` is the network input, `inputs[l]` the input to layer `l`.
-    inputs: Vec<Matrix>,
-    /// Pre-activations of each layer.
-    pre_activations: Vec<Matrix>,
-    /// Final output of the network.
-    output: Matrix,
+/// Reusable buffers of the batched passes through an [`Mlp`].
+///
+/// [`Mlp::forward_into`] writes every layer's output here, and
+/// [`Mlp::backward_into`] reads them back (the activation derivatives come
+/// off the outputs, so no pre-activation is kept) and writes its upstream
+/// gradients and weight gradients here too.  Every buffer takes its shape
+/// from the first pass that needs it and is reallocated only when a later
+/// pass needs another, so a training loop that keeps one workspace for its
+/// whole descent allocates in its first epoch only.  Any number of rows
+/// (batch size `N`) works with any workspace.
+#[derive(Debug, Default)]
+pub struct MlpWorkspace {
+    /// `outputs[l]`: layer `l`'s output (`N x width`); the last one is the
+    /// network output.
+    outputs: Vec<Matrix>,
+    /// `upstream[l]`: ∂loss/∂`outputs[l]` of each hidden layer, turned into
+    /// that layer's delta in place.
+    upstream: Vec<Matrix>,
+    /// `weight_grads[l]`: ∂loss/∂W of layer `l`.
+    weight_grads: Vec<Matrix>,
 }
 
-impl ForwardCache {
-    /// The network output for the batch (shape `N x output_dim`).
-    pub fn output(&self) -> &Matrix {
-        &self.output
-    }
-}
-
-/// Gradient of a scalar loss with respect to all [`Mlp`] parameters.
-#[derive(Debug, Clone, PartialEq)]
-pub struct MlpGradient {
-    layers: Vec<LayerGradient>,
-}
-
-impl MlpGradient {
-    /// Flattens the gradient in the same ordering as [`Mlp::flat_params`].
-    pub fn to_flat(&self) -> Vec<f64> {
-        let mut out = Vec::new();
-        self.append_flat(&mut out);
-        out
-    }
-
-    /// Appends the flattened gradient (same ordering as [`Mlp::flat_params`])
-    /// to `out` without allocating a fresh vector — training loops that reuse
-    /// one gradient buffer across epochs clear and refill it through this.
-    pub fn append_flat(&self, out: &mut Vec<f64>) {
-        for l in &self.layers {
-            l.append_flat(out);
-        }
-    }
-
-    /// Per-layer gradients.
-    pub fn layers(&self) -> &[LayerGradient] {
-        &self.layers
+impl MlpWorkspace {
+    /// An empty workspace; the first pass sizes it.
+    pub fn new() -> Self {
+        Self::default()
     }
 }
 
@@ -238,107 +230,115 @@ impl Mlp {
     }
 
     /// Batched forward pass: `X` is `N x input_dim`, the result is `N x output_dim`.
+    /// It runs [`Self::forward_into`] on a fresh workspace.
     ///
     /// # Panics
     ///
     /// Panics if `x.ncols() != input_dim()`.
     pub fn forward_batch(&self, x: &Matrix) -> Matrix {
-        assert_eq!(x.ncols(), self.input_dim(), "input dimension mismatch");
-        let mut cur = x.clone();
-        for l in &self.layers {
-            cur = l.forward(&cur);
-        }
-        cur
+        let mut ws = MlpWorkspace::new();
+        self.forward_into(x, &mut ws);
+        ws.outputs
+            .pop()
+            .expect("an Mlp always has its output layer")
     }
 
-    /// Forward pass that caches everything back-propagation needs.
+    /// Batched forward pass of `X` (`N x input_dim`) through `ws`, returning
+    /// the network output (`N x output_dim`).  `X` is borrowed, not copied.
+    /// Each layer writes `input · Wᵀ` into its output buffer, then adds the
+    /// bias and applies the activation in the same sweep.  The outputs stay
+    /// in `ws` for [`Self::backward_into`].
     ///
     /// # Panics
     ///
     /// Panics if `x.ncols() != input_dim()`.
-    pub fn forward_cached(&self, x: &Matrix) -> ForwardCache {
+    pub fn forward_into<'w>(&self, x: &Matrix, ws: &'w mut MlpWorkspace) -> &'w Matrix {
         assert_eq!(x.ncols(), self.input_dim(), "input dimension mismatch");
-        let mut inputs = Vec::with_capacity(self.layers.len());
-        let mut pre_activations = Vec::with_capacity(self.layers.len());
-        let mut cur = x.clone();
-        for l in &self.layers {
-            inputs.push(cur.clone());
-            let z = l.pre_activation(&cur);
-            let act = l.activation();
-            cur = z.map(|v| act.apply(v));
-            pre_activations.push(z);
+        ws.outputs
+            .resize_with(self.layers.len(), || Matrix::zeros(0, 0));
+        for (idx, layer) in self.layers.iter().enumerate() {
+            let (done, rest) = ws.outputs.split_at_mut(idx);
+            layer.forward_into(done.last().unwrap_or(x), &mut rest[0]);
         }
-        ForwardCache {
-            inputs,
-            pre_activations,
-            output: cur,
-        }
+        ws.outputs
+            .last()
+            .expect("an Mlp always has its output layer")
     }
 
-    /// Back-propagates `grad_output` (∂loss/∂output, shape `N x output_dim`) through
-    /// the network, returning the parameter gradient and ∂loss/∂input.
+    /// Back-propagates `grad_output` (∂loss/∂output, `N x output_dim`) through
+    /// the last [`Self::forward_into`] pass of `x` in `ws` and writes the
+    /// parameter gradient into `grad`, in [`Self::flat_params`] order.
+    ///
+    /// Each layer turns its ∂loss/∂output into its delta in place, with the
+    /// activation derivative read off the layer output, and writes `dW`,
+    /// `db` and (above the first layer) the upstream gradient `delta · W`
+    /// into `ws`; `grad_output` itself becomes the output layer's delta.
+    /// ∂loss/∂input is not formed, so the first layer's `N x h · h x d`
+    /// product is skipped.
     ///
     /// # Panics
     ///
-    /// Panics if the cache does not match this network's layer count or the gradient
-    /// shape does not match the cached output.
-    pub fn backward(&self, cache: &ForwardCache, grad_output: &Matrix) -> (MlpGradient, Matrix) {
-        let (grad, first_delta) = self.backprop(cache, grad_output);
-        let grad_input = self.layers[0].input_gradient(&first_delta);
-        (grad, grad_input)
-    }
-
-    /// The parameter gradient of [`Self::backward`] alone.  It skips
-    /// ∂loss/∂input, and with it the first layer's `N x h · h x d` product,
-    /// for training loops that never read the input gradient.
-    ///
-    /// # Panics
-    ///
-    /// Same conditions as [`Self::backward`].
-    pub fn param_gradient(&self, cache: &ForwardCache, grad_output: &Matrix) -> MlpGradient {
-        self.backprop(cache, grad_output).0
-    }
-
-    /// Back-propagation down to the first layer: the parameter gradient plus
-    /// the first layer's `delta`, from which its input gradient follows.
-    fn backprop(&self, cache: &ForwardCache, grad_output: &Matrix) -> (MlpGradient, Matrix) {
-        assert_eq!(
-            cache.inputs.len(),
-            self.layers.len(),
-            "forward cache does not match network depth"
+    /// Panics if `ws` holds no forward pass of this network, `grad_output`
+    /// does not match its output, or `grad.len() != num_params()`.
+    pub fn backward_into(
+        &self,
+        x: &Matrix,
+        ws: &mut MlpWorkspace,
+        grad_output: &mut Matrix,
+        grad: &mut [f64],
+    ) {
+        let depth = self.layers.len();
+        let MlpWorkspace {
+            outputs,
+            upstream,
+            weight_grads,
+        } = ws;
+        assert!(
+            outputs.len() == depth
+                && outputs
+                    .iter()
+                    .zip(&self.layers)
+                    .all(|(out, layer)| out.shape() == (x.nrows(), layer.output_dim())),
+            "workspace holds no forward pass of this network over this input"
         );
         assert_eq!(
             grad_output.shape(),
-            cache.output.shape(),
-            "gradient shape does not match cached output"
+            outputs[depth - 1].shape(),
+            "gradient shape does not match the network output"
         );
-        let backward_layer = |idx: usize, grad: &Matrix| {
-            self.layers[idx].param_gradient(&cache.inputs[idx], &cache.pre_activations[idx], grad)
-        };
-        // An Mlp always has its output layer.
-        let last = self.layers.len() - 1;
-        let (g, mut delta) = backward_layer(last, grad_output);
-        let mut per_layer: Vec<LayerGradient> = Vec::with_capacity(self.layers.len());
-        per_layer.push(g);
-        for idx in (0..last).rev() {
-            let upstream = self.layers[idx + 1].input_gradient(&delta);
-            // Free the spent delta before this layer allocates its own, so no
-            // more N-row buffers are live at once than one layer needs.
-            drop(delta);
-            let (g, d) = backward_layer(idx, &upstream);
-            per_layer.push(g);
-            delta = d;
+        assert_eq!(grad.len(), self.num_params(), "gradient length mismatch");
+        upstream.resize_with(depth - 1, || Matrix::zeros(0, 0));
+        weight_grads.resize_with(depth, || Matrix::zeros(0, 0));
+        let mut end = grad.len();
+        for idx in (0..depth).rev() {
+            let layer = &self.layers[idx];
+            let input = if idx == 0 { x } else { &outputs[idx - 1] };
+            let (below, this) = upstream.split_at_mut(idx);
+            let delta = if idx == depth - 1 {
+                &mut *grad_output
+            } else {
+                &mut this[0]
+            };
+            let start = end - layer.num_params();
+            layer.backward_into(
+                input,
+                &outputs[idx],
+                delta,
+                &mut weight_grads[idx],
+                &mut grad[start..end],
+                below.last_mut(),
+            );
+            end = start;
         }
-        per_layer.reverse();
-        (MlpGradient { layers: per_layer }, delta)
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::reference::{LayerReference, MlpReference};
     use rand::rngs::StdRng;
-    use rand::SeedableRng;
+    use rand::{Rng, SeedableRng};
 
     fn small_mlp(seed: u64) -> Mlp {
         let config = MlpConfig::new(3, &[5, 4], 2).with_hidden_activation(Activation::Tanh);
@@ -405,6 +405,119 @@ mod tests {
         assert_eq!(buf, grad.to_flat());
     }
 
+    /// The reference chain's output and flat parameter gradient, with the
+    /// output gradient `grad_of(output)`.
+    fn reference_pass(mlp: &Mlp, x: &Matrix, grad_of: fn(&Matrix) -> Matrix) -> (Matrix, Vec<f64>) {
+        let cache = mlp.forward_cached(x);
+        let grad = mlp.param_gradient(&cache, &grad_of(cache.output()));
+        (cache.output().clone(), grad.to_flat())
+    }
+
+    /// The same through `ws`.
+    fn workspace_pass(
+        mlp: &Mlp,
+        x: &Matrix,
+        ws: &mut MlpWorkspace,
+        grad_of: fn(&Matrix) -> Matrix,
+    ) -> (Matrix, Vec<f64>) {
+        let out = mlp.forward_into(x, ws).clone();
+        let mut grad_out = grad_of(&out);
+        let mut grad = vec![f64::NAN; mlp.num_params()];
+        mlp.backward_into(x, ws, &mut grad_out, &mut grad);
+        (out, grad)
+    }
+
+    fn bits(values: &[f64]) -> Vec<u64> {
+        values.iter().map(|v| v.to_bits()).collect()
+    }
+
+    /// `n` seeded rows of width `d`.  Row 0 is all zeros, so every unit
+    /// whose bias is zero has an exactly zero pre-activation there; row 1
+    /// (when `n > 2`) carries a NaN, so its pre-activations are NaN.
+    fn probe_input(n: usize, d: usize, seed: u64) -> Matrix {
+        let mut rng = StdRng::seed_from_u64(seed);
+        let mut x = Matrix::zeros(n, d);
+        for i in 1..n {
+            for v in x.row_mut(i) {
+                *v = rng.gen_range(-1.5..1.5);
+            }
+        }
+        if n > 2 {
+            x[(1, d / 2)] = f64::NAN;
+        }
+        x
+    }
+
+    /// A network whose layers' even-numbered biases are zero and the rest
+    /// seeded, so the zero input row hits ReLU's exact zero.
+    fn probe_mlp(d: usize, hidden: &[usize], m: usize, act: Activation, seed: u64) -> Mlp {
+        let config = MlpConfig::new(d, hidden, m).with_hidden_activation(act);
+        let mut rng = StdRng::seed_from_u64(seed);
+        let mut mlp = Mlp::new(&config, &mut rng);
+        let mut flat = mlp.flat_params();
+        let mut offset = 0;
+        for layer in mlp.layers() {
+            let nw = layer.input_dim() * layer.output_dim();
+            for (j, b) in flat[offset + nw..offset + layer.num_params()]
+                .iter_mut()
+                .enumerate()
+            {
+                *b = if j % 2 == 0 {
+                    0.0
+                } else {
+                    rng.gen_range(-0.5..0.5)
+                };
+            }
+            offset += layer.num_params();
+        }
+        mlp.set_flat_params(&flat);
+        mlp
+    }
+
+    #[test]
+    fn workspace_passes_match_the_reference_chain_bit_for_bit() {
+        let grad_of: fn(&Matrix) -> Matrix = |out| out.map(|v| 2.0 * v - 0.1);
+        let shapes: [(usize, &[usize], usize); 3] =
+            [(3, &[6, 5], 4), (10, &[50, 50], 32), (4, &[], 3)];
+        let check = || {
+            for act in [Activation::ReLU, Activation::Tanh, Activation::Identity] {
+                for (s, &(d, hidden, m)) in shapes.iter().enumerate() {
+                    let mlp = probe_mlp(d, hidden, m, act, 40 + s as u64);
+                    // One workspace while N shrinks and grows, across the
+                    // direct GEMM's k-block for dW = deltaᵀ·X.
+                    let mut ws = MlpWorkspace::new();
+                    for (t, n) in [65, 7, 1, 100, 3, 300, 65].into_iter().enumerate() {
+                        let x = probe_input(n, d, 100 * s as u64 + t as u64);
+                        let (ref_out, ref_grad) = reference_pass(&mlp, &x, grad_of);
+                        let (out, grad) = workspace_pass(&mlp, &x, &mut ws, grad_of);
+                        let what = format!("{act:?}, {d}-{hidden:?}-{m}, N = {n}");
+                        assert_eq!(
+                            bits(out.as_slice()),
+                            bits(ref_out.as_slice()),
+                            "output, {what}"
+                        );
+                        assert_eq!(bits(&grad), bits(&ref_grad), "gradient, {what}");
+                        assert_eq!(
+                            bits(mlp.forward_batch(&x).as_slice()),
+                            bits(ref_out.as_slice()),
+                            "forward_batch, {what}"
+                        );
+                        if act == Activation::ReLU && d == 3 {
+                            // The probe hits what it is meant to hit.
+                            let z = mlp.layers()[0].pre_activation(&x);
+                            assert_eq!(z[(0, 0)], 0.0, "{what}");
+                            if n > 2 {
+                                assert!(z[(1, 0)].is_nan(), "{what}");
+                            }
+                        }
+                    }
+                }
+            }
+        };
+        check();
+        nnbo_linalg::with_portable_kernels(check);
+    }
+
     #[test]
     fn backward_matches_finite_differences() {
         let mlp = small_mlp(4);
@@ -414,10 +527,10 @@ mod tests {
             let out = m.forward_batch(&x);
             out.as_slice().iter().map(|v| v * v).sum::<f64>()
         };
-        let cache = mlp.forward_cached(&x);
-        let grad_out = cache.output().map(|v| 2.0 * v);
-        let (grad, _) = mlp.backward(&cache, &grad_out);
-        let analytic = grad.to_flat();
+        let mut ws = MlpWorkspace::new();
+        let mut grad_out = mlp.forward_into(&x, &mut ws).map(|v| 2.0 * v);
+        let mut analytic = vec![0.0; mlp.num_params()];
+        mlp.backward_into(&x, &mut ws, &mut grad_out, &mut analytic);
 
         let base = mlp.flat_params();
         let h = 1e-6;

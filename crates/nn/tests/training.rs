@@ -1,7 +1,7 @@
 //! Integration tests: train small MLPs end-to-end on regression tasks.
 
 use nnbo_linalg::Matrix;
-use nnbo_nn::{Activation, Adam, Mlp, MlpConfig, Optimizer};
+use nnbo_nn::{Activation, Adam, Mlp, MlpConfig, MlpWorkspace, Optimizer};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
@@ -10,14 +10,15 @@ fn train_mse(mlp: &mut Mlp, x: &Matrix, y: &Matrix, epochs: usize, lr: f64) -> f
     let mut adam = Adam::with_learning_rate(lr);
     let n = x.nrows() as f64;
     let mut last = f64::INFINITY;
+    let mut ws = MlpWorkspace::new();
+    let mut grad = vec![0.0; mlp.num_params()];
     for _ in 0..epochs {
-        let cache = mlp.forward_cached(x);
-        let diff = cache.output() - y;
+        let diff = mlp.forward_into(x, &mut ws) - y;
         last = diff.as_slice().iter().map(|d| d * d).sum::<f64>() / n;
-        let grad_out = diff.map(|d| 2.0 * d / n);
-        let (grad, _) = mlp.backward(&cache, &grad_out);
+        let mut grad_out = diff.map(|d| 2.0 * d / n);
+        mlp.backward_into(x, &mut ws, &mut grad_out, &mut grad);
         let mut params = mlp.flat_params();
-        adam.step(&mut params, &grad.to_flat());
+        adam.step(&mut params, &grad);
         mlp.set_flat_params(&params);
     }
     last

@@ -21,6 +21,9 @@
 //!   batch alongside the pool, stealing tasks back from its own submission,
 //!   so a batch always completes even when every worker is busy with other
 //!   (possibly long-running) jobs and nested submissions cannot deadlock.
+//!   Once the submitter has claimed the last task it takes the batch's
+//!   handle back out of the injector if no worker took it, so a batch
+//!   drained while every worker was busy leaves nothing queued behind it.
 //!   Each task computes exactly what the sequential loop would, so results
 //!   are bit-identical regardless of which thread claims which task.
 //! * **Banded maps** ([`WorkerPool::map_bands`]): the one fan-out the
@@ -453,8 +456,11 @@ impl WorkerPool {
         //    recovered by `recover_lock`/`recover_wait`; the rest is atomics,
         //    a condvar notify and stores to the `CONTEXT` thread-local, which
         //    is const-initialised and has no destructor, so access cannot
-        //    fail.  An allocation failure aborts rather than unwinds.  The
-        //    only unwind, `resume_unwind`, comes after the wait.
+        //    fail.  Taking the batch's own handle back out of the injector
+        //    drops an `Arc` that this frame still holds a clone of, so no
+        //    destructor runs there.  An allocation failure aborts rather than
+        //    unwinds.  The only unwind, `resume_unwind`, comes after the
+        //    wait.
         // 4. A worker may still hold the `Arc<BatchCore>` when this returns
         //    (it dequeued the batch late), but `tasks` is empty by then and
         //    the rest of `BatchCore` holds no `'env` data: a panic payload is
@@ -475,7 +481,8 @@ impl WorkerPool {
             executed: Arc::clone(&self.inner.counters.batch_tasks_executed),
             context: context(),
         });
-        if self.inner.workers > 0 && n > 1 {
+        let injected = self.inner.workers > 0 && n > 1;
+        if injected {
             let mut injector = self.lock_injector();
             injector.push_back(Work::Batch(Arc::clone(&batch)));
             drop(injector);
@@ -484,6 +491,18 @@ impl WorkerPool {
         // The submitting thread works the batch too — claiming tasks back
         // from the pool until none remain — then waits out the stragglers.
         while batch.run_one() {}
+        if injected {
+            // Every task is claimed.  If no worker took the handle (all of
+            // them busy elsewhere), take it back, so the injector does not
+            // keep a dead batch and its buffers alive until a worker pops it.
+            let mut injector = self.lock_injector();
+            if let Some(i) = injector
+                .iter()
+                .position(|w| matches!(w, Work::Batch(b) if Arc::ptr_eq(b, &batch)))
+            {
+                injector.remove(i);
+            }
+        }
         wait_batch(&batch);
         let payload = recover_lock(&batch.panic, &batch.poisonings).take();
         if let Some(payload) = payload {
@@ -961,6 +980,40 @@ mod tests {
             std::thread::yield_now();
         }
         assert_eq!(pool.stats().job_panics, 0);
+    }
+
+    #[test]
+    fn batches_drained_while_every_worker_is_busy_leave_no_handle_queued() {
+        let pool = WorkerPool::new(1);
+        let (parked_tx, parked_rx) = std::sync::mpsc::channel::<()>();
+        let (release_tx, release_rx) = std::sync::mpsc::channel::<()>();
+        pool.spawn(move || {
+            parked_tx.send(()).unwrap();
+            let _ = release_rx.recv();
+        });
+        parked_rx.recv_timeout(Duration::from_secs(10)).unwrap();
+
+        let runs: Vec<AtomicUsize> = (0..300).map(|_| AtomicUsize::new(0)).collect();
+        for batch in runs.chunks(3) {
+            let tasks: Vec<Box<dyn FnOnce() + Send + '_>> = batch
+                .iter()
+                .map(|r| {
+                    Box::new(move || {
+                        r.fetch_add(1, Ordering::SeqCst);
+                    }) as Box<dyn FnOnce() + Send + '_>
+                })
+                .collect();
+            pool.run_batch(tasks);
+        }
+        let queued_batches = pool
+            .lock_injector()
+            .iter()
+            .filter(|w| matches!(w, Work::Batch(_)))
+            .count();
+        release_tx.send(()).unwrap();
+        assert_eq!(queued_batches, 0, "dead batch handles left in the injector");
+        assert!(runs.iter().all(|r| r.load(Ordering::SeqCst) == 1));
+        assert_eq!(pool.stats().batch_tasks_executed, 300);
     }
 
     #[test]
